@@ -11,6 +11,7 @@ applied to the rough background field.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -594,13 +595,18 @@ def regularity_gap_study(
     nl = builtin("tanh_perturbed", lam)
     master_dt = 2.0**-18
     n_master = 2**18
+    dts = [1.0 / (4 * n_x * n_x) for n_x, _ in levels]
+    strides = [int(round(dt / master_dt)) for dt in dts]
+    # one pass of the recursion at the gcd of the level strides; each level
+    # keeps every (stride/gcd)-th row, exactly what a pass at its own
+    # stride would have kept
+    base = math.gcd(*strides)
+    master = sample_mode_states_strided(spec, master_dt, n_master, base, seed, realization)
     out = []
-    for n_x, n_save in levels:
-        dt = 1.0 / (4 * n_x * n_x)
-        stride = int(round(dt / master_dt))
-        path = sample_mode_states_strided(
-            spec, master_dt, n_master, stride, seed, realization
-        )
+    for (n_x, n_save), dt, stride in zip(levels, dts, strides):
+        coeffs = master.coeffs[:: stride // base]
+        times = np.arange(coeffs.shape[0], dtype=np.float64) * (stride * master_dt)
+        path = NoisePath(spec, master.modes, times, coeffs, seed, realization)
         cfg = SolverConfig(1, n_x, dt, 1.0, nl)
         traj = solve(cfg, path, None, save_every=cfg.n_steps // n_save)
         dt_save = 1.0 / n_save

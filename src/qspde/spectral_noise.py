@@ -180,10 +180,6 @@ def choose_kmax(d: int, s: float, tol: float = 1e-6, limit: int = 1 << 20) -> in
     return hi
 
 
-def khat(spec: CovarianceSpec, k) -> np.ndarray:
-    return spec.khat(k)
-
-
 @dataclass(frozen=True)
 class ModeSet:
     """All wave vectors k = 2*pi*m with |m_i| <= kmax, negation-closed.
@@ -231,16 +227,43 @@ def make_mode_set(d: int, kmax: int) -> ModeSet:
 # random streams and exact mode transitions
 
 
-def mode_stream(root_seed: int, realization: int, mode_index: int) -> np.random.Generator:
-    """Counter-based stream for one (realization, mode) pair.
+def _stream_key(root_seed: int) -> np.ndarray:
+    return np.random.SeedSequence(root_seed).generate_state(2, np.uint64)
 
-    Philox key derives from the root seed; counter words are
+
+def mode_stream(root_seed: int, realization: int, mode_index: int) -> np.random.Generator:
+    """Counter-based stream for one (realization, mode) pair, built fresh.
+
+    The Philox key derives from the root seed only; the counter words are
     [draw, 0, realization, mode_index], so distinct pairs can never
-    overlap no matter how many values each stream consumes.
+    overlap no matter how many values each stream consumes.  The samplers
+    draw the same values through _mode_streams without rebuilding the
+    generator; this function is the reference they are tested against.
     """
-    key = np.random.SeedSequence(root_seed).generate_state(2, np.uint64)
-    bitgen = np.random.Philox(counter=[0, 0, realization, mode_index], key=key)
+    bitgen = np.random.Philox(counter=[0, 0, realization, mode_index], key=_stream_key(root_seed))
     return np.random.Generator(bitgen)
+
+
+def _mode_streams(root_seed: int, realization: int):
+    """stream(mode_index) -> Generator, bitwise equal to mode_stream's.
+
+    One Philox and one Generator serve every mode of a sampling call.  A
+    Philox stream is fully determined by its key and its counter, so
+    restoring the whole fresh state (counter [0, 0, realization, mode],
+    empty buffer, no cached uint32) gives the draws of a new generator.
+    The returned Generator is shared: take a mode's draws before asking
+    for the next mode.
+    """
+    bitgen = np.random.Philox(counter=[0, 0, realization, 0], key=_stream_key(root_seed))
+    fresh = bitgen.state
+    gen = np.random.Generator(bitgen)
+
+    def stream(mode_index: int) -> np.random.Generator:
+        fresh["state"]["counter"][3] = mode_index
+        bitgen.state = fresh
+        return gen
+
+    return stream
 
 
 def step_moments(ksq, khat_k, t0: float, t1: float):
@@ -269,28 +292,6 @@ def step_moments(ksq, khat_k, t0: float, t1: float):
         )
     var = np.where(ksq > 0.0, var, khat_k * (w_hi - w_lo))
     return decay, var
-
-
-def ou_step(x, ksq, khat_k, dt: float, rng: np.random.Generator):
-    """One exact transition over a step of length dt lying inside (0, 1].
-
-    k != 0: returns exp(-dt*|k|^2)*x + sigma*z with
-    sigma^2 = khat*(1 - exp(-2*dt*|k|^2))/(2*|k|^2) and z standard complex
-    Gaussian (independent real/imaginary parts of variance 1/2).  k = 0:
-    real Brownian update x + sqrt(khat*dt)*z_re.  Consumes two normals per
-    mode per call regardless of k, so draw positions are deterministic.
-    """
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    ksq = np.asarray(ksq, dtype=np.float64)
-    khat_k = np.asarray(khat_k, dtype=np.float64)
-    decay = np.exp(-dt * ksq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var = khat_k * -np.expm1(-2.0 * dt * ksq) / (2.0 * ksq)
-    var = np.where(ksq > 0.0, var, khat_k * dt)
-    z = rng.standard_normal(ksq.shape + (2,))
-    zc = np.where(ksq > 0.0, (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0), z[..., 0])
-    return decay * x + np.sqrt(var) * zc
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +331,15 @@ def _draw_rep_normals(modes: ModeSet, n_steps: int, seed: int, realization: int)
 
     Row i of a block drives the transition into times[i].  The per-mode
     stream index is the mode's position in the full lexicographic order,
-    so the assignment is stable under any kmax.
+    so the assignment is stable under any kmax.  Block j holds the first
+    2*n_steps normals of mode_stream(seed, realization, reps[j]); the
+    modes share one generator whose state is reset per mode, not rebuilt.
     """
     reps = _rep_indices(modes)
     out = np.empty((reps.size, n_steps, 2), dtype=np.float64)
+    stream = _mode_streams(seed, realization)
     for j, mode_index in enumerate(reps):
-        gen = mode_stream(seed, realization, int(mode_index))
-        out[j] = gen.standard_normal((n_steps, 2))
+        stream(int(mode_index)).standard_normal(out=out[j])
     return reps, out
 
 
@@ -461,8 +464,9 @@ def sample_mode_states_strided(
     n_keep = n_steps // stride + 1
     states = np.zeros((n_keep, reps.size), dtype=np.complex128)
     root = np.sqrt(2.0)
+    stream = _mode_streams(seed, realization)
     for j, mode_index in enumerate(reps):
-        gen = mode_stream(seed, realization, int(mode_index))
+        gen = stream(int(mode_index))
         gen.standard_normal(2)  # the (zero-variance) initial-state draw
         zi = np.zeros(1, dtype=np.complex128)
         pos = 1

@@ -10,17 +10,17 @@ from qspde.spectral_noise import (
     Field,
     ModeSet,
     NoisePath,
+    _mode_streams,
     choose_kmax,
     covariance_closed_form,
     evaluate_field,
-    khat,
     make_mode_set,
     mode_stream,
-    ou_step,
     read_qspd,
     sample_mode_states,
     sample_mode_states_strided,
     sample_noise_path,
+    step_moments,
     write_qspd,
 )
 
@@ -89,8 +89,8 @@ def test_spec_rejects_s_at_or_below_d():
 
 def test_khat_values():
     spec = CovarianceSpec(1, 2.0, 4)
-    assert khat(spec, np.array([0.0])) == 1.0
-    assert khat(spec, np.array([2 * np.pi])) == pytest.approx(
+    assert spec.khat(np.array([0.0])) == 1.0
+    assert spec.khat(np.array([2 * np.pi])) == pytest.approx(
         1.0 / (1.0 + 4 * np.pi**2), rel=1e-15
     )
 
@@ -119,14 +119,21 @@ def test_tail_fraction_criterion_scale():
 
 
 # ---------------------------------------------------------------------------
-# ou_step
+# exact OU step: step_moments gives x -> decay*x + sqrt(var)*z
+
+
+def _ou_step(x, ksq, kh, t0, t1, rng):
+    decay, var = step_moments(ksq, kh, t0, t1)
+    z = rng.standard_normal(np.shape(ksq) + (2,))
+    zc = np.where(ksq > 0.0, (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0), z[..., 0])
+    return decay * x + np.sqrt(var) * zc
 
 
 def test_ou_step_dt_zero_identity():
     rng = np.random.default_rng(0)
     x = np.array([0.3 + 0.2j, 1.0 + 0.0j])
     ksq = np.array([4 * np.pi**2, 0.0])
-    out = ou_step(x, ksq, np.array([0.5, 1.0]), 0.0, rng)
+    out = _ou_step(x, ksq, np.array([0.5, 1.0]), 0.5, 0.5, rng)
     assert np.array_equal(out, x)
 
 
@@ -134,24 +141,24 @@ def test_ou_step_zero_khat_decays():
     rng = np.random.default_rng(1)
     x = np.array([1.0 + 1.0j])
     ksq = np.array([9.0])
-    out = ou_step(x, ksq, np.array([0.0]), 0.25, rng)
+    out = _ou_step(x, ksq, np.array([0.0]), 0.5, 0.75, rng)
     assert out == pytest.approx(np.exp(-0.25 * 9.0) * x)
 
 
 def test_ou_step_rejects_negative_dt():
-    rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
-        ou_step(np.zeros(1, complex), np.ones(1), np.ones(1), -0.1, rng)
+        step_moments(np.ones(1), np.ones(1), 0.5, 0.4)
 
 
 def test_ou_step_stationary_variance():
-    # dt large: Var|X| -> khat/(2 k^2); ensemble of 2*10^4 draws, 4 SE gate
+    # a step across the whole noise window: Var|X| -> khat/(2 k^2) up to
+    # exp(-2 k^2); ensemble of 2*10^4 draws, 4 SE gate
     rng = np.random.default_rng(3)
     ksq = np.array([4 * np.pi**2])
     kh = np.array([0.7])
     n = 20000
-    out = ou_step(
-        np.zeros((n, 1), complex), np.broadcast_to(ksq, (n, 1)), np.broadcast_to(kh, (n, 1)), 5.0, rng
+    out = _ou_step(
+        np.zeros((n, 1), complex), np.broadcast_to(ksq, (n, 1)), np.broadcast_to(kh, (n, 1)), 0.0, 1.0, rng
     )
     target = kh[0] / (2 * ksq[0])
     sq = np.abs(out[:, 0]) ** 2
@@ -259,6 +266,64 @@ def test_mode_streams_are_distinct():
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def _state_words(gen):
+    st = gen.bit_generator.state
+    return (
+        tuple(st["state"]["counter"]),
+        tuple(st["state"]["key"]),
+        tuple(st["buffer"]),
+        st["buffer_pos"],
+        st["has_uint32"],
+        st["uinteger"],
+    )
+
+
+# ways a mode can leave the shared generator half used for the next mode
+_LEFTOVERS = (
+    lambda g: None,
+    lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),  # odd uint32 count
+    lambda g: g.random(),  # one word of a four-word block
+    lambda g: g.standard_normal(5),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2026, 2**64 - 1])
+def test_shared_stream_matches_fresh_mode_stream(seed):
+    big = 2**40
+    for r in (0, 7, big - 1, big):
+        stream = _mode_streams(seed, r)
+        for i, m in enumerate((0, 1, 3, 12345, big - 1, big, 2)):
+            fresh = mode_stream(seed, r, m)
+            shared = stream(m)
+            assert _state_words(shared) == _state_words(fresh)
+            for draw in (
+                lambda g: g.standard_normal((4, 2)),
+                lambda g: g.integers(0, 2**32, size=5, dtype=np.uint32),
+                lambda g: g.random(3),
+            ):
+                assert np.array_equal(draw(shared), draw(fresh))
+            _LEFTOVERS[(i + r) % len(_LEFTOVERS)](shared)
+
+
+def test_one_seed_sequence_per_sampling_call(monkeypatch):
+    calls = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    spec = CovarianceSpec(1, 2.0, 1023)
+    modes = make_mode_set(1, 1023)
+    assert np.count_nonzero(modes.rep_mask) == 1024
+    sample_mode_states(spec, np.array([0.5, 1.0]), seed=5, modes=modes)
+    assert calls == [(5,)]
+    calls.clear()
+    sample_mode_states_strided(spec, 0.25, 4, 2, seed=6, modes=modes)
+    assert calls == [(6,)]
 
 
 # ---------------------------------------------------------------------------
