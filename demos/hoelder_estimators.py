@@ -21,7 +21,7 @@ from qspde.hoelder import (
 )
 from qspde.nonlinearity import builtin
 from qspde.solver import SolverConfig, solve
-from qspde.spectral_noise import CovarianceSpec, Field, sample_noise_path
+from qspde.spectral_noise import CovarianceSpec, Field, sample_mode_states
 
 alpha = 0.3
 rng = np.random.default_rng(5)
@@ -51,7 +51,7 @@ print(f"\ndyadic witness: f({t:.4f}, {x[0]:.4f}) vs f({t2:.4f}, {x2[0]:.4f})"
 spec = CovarianceSpec(1, 2.0, kmax=15)
 cfg = SolverConfig(1, 64, dt=2.0**-14, t_end=0.25, nl=builtin("tanh_perturbed", 0.5))
 times = np.arange(cfg.n_steps + 1) * cfg.dt
-traj = solve(cfg, sample_noise_path(spec, times, seed=11), save_every=cfg.n_steps // 16)
+traj = solve(cfg, sample_mode_states(spec, times, seed=11), save_every=cfg.n_steps // 16)
 w = Field(traj.w, dt=cfg.dt * (cfg.n_steps // 16))
 grad_w = centered_gradient(w)
 gw_alpha = seminorm_dyadic(Field(grad_w[:, 0], dt=w.dt), alpha).theta

@@ -16,7 +16,7 @@ from qspde.spectral_noise import (
     CovarianceSpec,
     choose_kmax,
     evaluate_field,
-    sample_noise_path,
+    sample_mode_states,
 )
 
 d, s = 1, 2.0
@@ -30,7 +30,7 @@ print(f"\nusing kmax={spec.kmax}, neglected tail mass {spec.tail_fraction:.2e}")
 
 # one exact realization on 65 time slabs, evaluated on 128 grid points
 times = np.linspace(0.0, 1.0, 65)
-path = sample_noise_path(spec, times, seed=7)
+path = sample_mode_states(spec, times, seed=7)
 v = evaluate_field(path, n_x=128)
 gv = evaluate_field(path, n_x=128, mode=("gradient", 0))
 print(f"v(t=1): mean {v.values[-1].mean():+.3e}  max |v| {np.abs(v.values[-1]).max():.4f}")

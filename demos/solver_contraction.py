@@ -18,11 +18,7 @@ import numpy as np
 
 from qspde.nonlinearity import builtin
 from qspde.solver import GRAD_V_NEGATED, SolverConfig, contraction_test, solve
-from qspde.spectral_noise import (
-    CovarianceSpec,
-    sample_mode_states_strided,
-    sample_noise_path,
-)
+from qspde.spectral_noise import CovarianceSpec, sample_mode_states
 
 spec = CovarianceSpec(1, 2.0, kmax=15)
 nl = builtin("tanh_perturbed", 0.5)
@@ -30,7 +26,7 @@ nl = builtin("tanh_perturbed", 0.5)
 # one solve: n_x=64 nodes, dt at half the stability bound, unforced
 cfg = SolverConfig(1, 64, dt=2.0**-14, t_end=0.25, nl=nl)
 times = np.arange(cfg.n_steps + 1) * cfg.dt
-path = sample_noise_path(spec, times, seed=11)
+path = sample_mode_states(spec, times, seed=11)
 traj = solve(cfg, path, save_every=cfg.n_steps // 4)
 print(f"steps={cfg.n_steps}  saved slabs={traj.w.shape[0]}")
 print(f"max |w| at t_end: {np.abs(traj.w[-1]).max():.4e}")
@@ -49,14 +45,11 @@ print(f"passed: {rep.passed}")
 # discretization of the exactly sampled v
 print("\nidentity consistency sweep (gap = max |u - v| at t=1):")
 ident = builtin("identity")
-master_dt = 2.0**-16
+master = sample_mode_states(spec, np.arange(2**16 + 1) * 2.0**-16, seed=2026)
 gaps = []
 for n_x in (32, 64, 128):
-    dt = 1.0 / (4 * n_x * n_x)
-    stride = int(round(dt / master_dt))
-    strided = sample_mode_states_strided(spec, master_dt, 2**16, stride, seed=2026)
-    c = SolverConfig(1, n_x, dt, 1.0, ident)
-    t = solve(c, strided, GRAD_V_NEGATED, save_every=c.n_steps)
+    c = SolverConfig(1, n_x, 1.0 / (4 * n_x * n_x), 1.0, ident)
+    t = solve(c, master, GRAD_V_NEGATED, save_every=c.n_steps)
     gaps.append(np.abs(t.u[-1] - t.v[-1]).max())
     order = "" if len(gaps) < 2 else f"  order {np.log2(gaps[-2] / gaps[-1]):.2f}"
     print(f"  n_x={n_x:4d}  gap {gaps[-1]:.3e}{order}")

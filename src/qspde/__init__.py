@@ -60,8 +60,6 @@ from .spectral_noise import (
     make_mode_set,
     read_qspd,
     sample_mode_states,
-    sample_mode_states_strided,
-    sample_noise_path,
     write_qspd,
 )
 
@@ -107,8 +105,6 @@ __all__ = [
     "regularity_gap_study",
     "run_campaign",
     "sample_mode_states",
-    "sample_mode_states_strided",
-    "sample_noise_path",
     "secant_coefficient",
     "seminorm_dyadic",
     "seminorm_naive",

@@ -11,7 +11,6 @@ applied to the rough background field.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -25,12 +24,11 @@ from .solver import GRAD_V_NEGATED, SolverConfig, solve
 from .spectral_noise import (
     CovarianceSpec,
     Field,
-    NoisePath,
+    _grad_slabs,
     _spectral_slabs,
     covariance_closed_form,
     make_mode_set,
     sample_mode_states,
-    sample_mode_states_strided,
 )
 
 
@@ -130,13 +128,7 @@ def _campaign_record(plan: dict, r: int) -> McRecord:
         grad_u_alpha = _component_max_dyadic(grad_w + gv, dt_save, alpha)
         w_norm = c1alpha_seminorm(wf, grad_w, alpha)
     else:
-        gv = np.stack(
-            [
-                _spectral_slabs(path.modes, path.coeffs, plan["n_x"], 1j * path.modes.k[:, a])
-                for a in range(spec.d)
-            ],
-            axis=1,
-        )
+        gv = _grad_slabs(path.modes, path.coeffs, plan["n_x"])
         grad_v_alpha = _component_max_dyadic(gv, plan["dt"], alpha)
         grad_u_alpha = None
         w_norm = None
@@ -383,10 +375,12 @@ def increment_scaling_fit(
     Spatial separations default to 2^-8..2^-4 (grid strides on the finest
     alias-free grid n_x = 2*kmax+2) and temporal separations to
     2^-12..2^-6, both anchored at t = 1 where the field is stationary in
-    law.  The second-moment slopes target s-d in space and (s-d)/2 in
-    time; standard errors propagate the per-lag MC spread through the
-    least-squares fit.  Requires s - d < 2 so the spatial exponent is
-    resolvable against the grid.
+    law.  Every spatial lag must be a multiple of 1/n_x, so the default
+    lags need 256 | 2*kmax+2 (kmax = 127, 255, 383, ...); for any other
+    kmax pass spatial_lags.  The second-moment slopes target s-d in space
+    and (s-d)/2 in time; standard errors propagate the per-lag MC spread
+    through the least-squares fit.  Requires s - d < 2 so the spatial
+    exponent is resolvable against the grid.
     """
     if not spec.s - spec.d < 2:
         raise ValueError("spatial exponent out of resolvable range; need s - d < 2")
@@ -396,7 +390,10 @@ def increment_scaling_fit(
     spatial_lags = np.asarray(spatial_lags, dtype=np.float64)
     strides = spatial_lags * n_x
     if np.any(np.abs(strides - np.round(strides)) > 1e-9) or np.any(strides < 1):
-        raise ValueError(f"spatial lags must be multiples of 1/{n_x}")
+        raise ValueError(
+            f"spatial lags must be multiples of 1/{n_x} (n_x = 2*kmax+2, kmax={spec.kmax}); "
+            f"the default lags 2^-8..2^-4 need 256 | 2*kmax+2, so pass spatial_lags"
+        )
     strides = np.round(strides).astype(int)
     if temporal_lags is None:
         temporal_lags = 2.0 ** np.arange(-12, -5)
@@ -581,34 +578,23 @@ def regularity_gap_study(
 ) -> GapStudy:
     """Refine solver and observation grids against one noise realization.
 
-    All levels consume strides of a single master-grid realization
-    (step 2^-18), so the comparison is pathwise.  Per level (n_x, n_save)
-    the equation is solved unforced with the smooth perturbed flux, the
-    solution difference w = u - v is recorded on n_save uniform intervals,
-    and the composite seminorm of w and of v is estimated from those
-    slabs.  PASS: the w estimate moves by less than w_tol between the two
-    finest levels while the v estimate grows by at least v_factor per
-    level (its temporal quotient diverges under time refinement; w's
-    stays put).
+    All levels are driven by one master-grid realization (step 2^-18);
+    solve reads the rows of its own grid, so the comparison is pathwise.
+    Per level (n_x, n_save) the equation is solved unforced with the
+    smooth perturbed flux, the solution difference w = u - v is recorded
+    on n_save uniform intervals, and the composite seminorm of w and of v
+    is estimated from those slabs.  PASS: the w estimate moves by less
+    than w_tol between the two finest levels while the v estimate grows
+    by at least v_factor per level (its temporal quotient diverges under
+    time refinement; w's stays put).
     """
     spec = CovarianceSpec(1, s, kmax)
     nl = builtin("tanh_perturbed", lam)
-    master_dt = 2.0**-18
-    n_master = 2**18
-    dts = [1.0 / (4 * n_x * n_x) for n_x, _ in levels]
-    strides = [int(round(dt / master_dt)) for dt in dts]
-    # one pass of the recursion at the gcd of the level strides; each level
-    # keeps every (stride/gcd)-th row, exactly what a pass at its own
-    # stride would have kept
-    base = math.gcd(*strides)
-    master = sample_mode_states_strided(spec, master_dt, n_master, base, seed, realization)
+    master = sample_mode_states(spec, np.arange(2**18 + 1) * 2.0**-18, seed, realization)
     out = []
-    for (n_x, n_save), dt, stride in zip(levels, dts, strides):
-        coeffs = master.coeffs[:: stride // base]
-        times = np.arange(coeffs.shape[0], dtype=np.float64) * (stride * master_dt)
-        path = NoisePath(spec, master.modes, times, coeffs, seed, realization)
-        cfg = SolverConfig(1, n_x, dt, 1.0, nl)
-        traj = solve(cfg, path, None, save_every=cfg.n_steps // n_save)
+    for n_x, n_save in levels:
+        cfg = SolverConfig(1, n_x, 1.0 / (4 * n_x * n_x), 1.0, nl)
+        traj = solve(cfg, master, None, save_every=cfg.n_steps // n_save)
         dt_save = 1.0 / n_save
         wf = Field(traj.w, dt=dt_save)
         vf = Field(traj.v, dt=dt_save)

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .nonlinearity import Nonlinearity
-from .spectral_noise import NoisePath, _spectral_slabs
+from .spectral_noise import NoisePath, _grad_slabs, _spectral_slabs
 
 # j_source sentinel: wire j = -grad v, so the full right-hand side of the
 # reconstructed equation matches the linear one driving v.  The divergence
@@ -191,10 +191,6 @@ def _noise_alignment(cfg: SolverConfig, noise: NoisePath) -> int:
     return ratio
 
 
-def _grad_weights(modes):
-    return [1j * modes.k[:, a] for a in range(modes.d)]
-
-
 class _SlabStream:
     """Batched spectral evaluation of grad v (and optionally div j) rows."""
 
@@ -205,7 +201,6 @@ class _SlabStream:
         self.need_source = need_source
         self.block = int(block)
         # div j for j = -grad v is -laplacian(v): mode weight +|k|^2
-        self._wg = _grad_weights(noise.modes)
         self._ws = noise.modes.ksq.astype(np.complex128)
         self._lo = 0
         self._gv = None
@@ -219,8 +214,7 @@ class _SlabStream:
             sel = self.rows[self._lo:hi]
             coeffs = self.noise.coeffs[sel]
             modes = self.noise.modes
-            gv = [_spectral_slabs(modes, coeffs, self.n_x, wa) for wa in self._wg]
-            self._gv = np.stack(gv, axis=1)
+            self._gv = _grad_slabs(modes, coeffs, self.n_x)
             if self.need_source:
                 self._src = _spectral_slabs(modes, coeffs, self.n_x, self._ws)
         k = i - self._lo
@@ -284,16 +278,14 @@ def solve(
     save_rows = rows[::save_every]
     times = np.asarray(noise.times)[save_rows]
     coeffs = noise.coeffs[save_rows]
+    # evaluate the slabs before stacking w: the transforms' scratch is the peak
     v = _spectral_slabs(noise.modes, coeffs, cfg.n_x, None)
-    gv = [
-        _spectral_slabs(noise.modes, coeffs, cfg.n_x, wa)
-        for wa in _grad_weights(noise.modes)
-    ]
+    grad_v = _grad_slabs(noise.modes, coeffs, cfg.n_x)
     return Trajectory(
         times=times,
         w=np.asarray(saves),
         v=v,
-        grad_v=np.stack(gv, axis=1),
+        grad_v=grad_v,
         dt=cfg.dt,
         dx=cfg.dx,
         mean_drift_rate=max_mean / cfg.t_end,

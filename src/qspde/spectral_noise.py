@@ -322,25 +322,8 @@ class NoisePath:
         return float(steps[0]) if steps.size else 0.0
 
 
-def _rep_indices(modes: ModeSet) -> np.ndarray:
-    return np.nonzero(modes.rep_mask)[0]
-
-
-def _draw_rep_normals(modes: ModeSet, n_steps: int, seed: int, realization: int):
-    """One (n_steps, 2) block of normals per representative mode.
-
-    Row i of a block drives the transition into times[i].  The per-mode
-    stream index is the mode's position in the full lexicographic order,
-    so the assignment is stable under any kmax.  Block j holds the first
-    2*n_steps normals of mode_stream(seed, realization, reps[j]); the
-    modes share one generator whose state is reset per mode, not rebuilt.
-    """
-    reps = _rep_indices(modes)
-    out = np.empty((reps.size, n_steps, 2), dtype=np.float64)
-    stream = _mode_streams(seed, realization)
-    for j, mode_index in enumerate(reps):
-        stream(int(mode_index)).standard_normal(out=out[j])
-    return reps, out
+# rows of normals drawn and filtered at a time on the uniform-grid path
+_CHUNK = 8192
 
 
 def sample_mode_states(
@@ -355,142 +338,75 @@ def sample_mode_states(
     Times may be non-uniform, non-positive (zero state), or beyond 1
     (deterministic decay); each transition uses the exact window-clamped
     moments.  Deterministic given (spec, times, seed, realization).
+
+    On a uniform grid inside [0, 1] the recursion runs per mode in blocks
+    of _CHUNK rows, so only one block of normals is held at a time; any
+    other grid takes the vectorised exact-step loop.
+
+    Each representative mode draws its normals from
+    mode_stream(seed, realization, mode index), two per grid time (the
+    first pair drives the transition from rest into times[0]); the index
+    is the mode's position in the full lexicographic order, so the
+    assignment is stable under any kmax.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
+    n_steps = times.size - 1
     if modes is None:
         modes = make_mode_set(spec.d, spec.kmax)
-    reps, normals = _draw_rep_normals(modes, times.size, seed, realization)
+    reps = np.nonzero(modes.rep_mask)[0]
     ksq = modes.ksq[reps]
     kh = spec.khat(modes.k[reps])
-    n_t = times.size
-
-    states = np.empty((n_t, reps.size), dtype=np.complex128)
-    uniform = n_t > 1 and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-12, atol=1e-15)
-    interior = times[0] >= 0.0 and times[-1] <= 1.0
-
+    stream = _mode_streams(seed, realization)
     # first state: transition from rest at time 0 (or zero if t <= 0)
-    decay0, var0 = step_moments(ksq, kh, 0.0, max(times[0], 0.0))
-    states[0] = np.sqrt(var0) * _to_complex(normals[:, 0, :], ksq)
+    _, var0 = step_moments(ksq, kh, 0.0, max(times[0], 0.0))
+    sig0 = np.sqrt(var0)
+    states = np.empty((times.size, reps.size), dtype=np.complex128)
 
-    if uniform and interior and n_t > 1:
-        # constant-coefficient recursion, one lfilter per mode
-        dt = times[1] - times[0]
-        decay, var = step_moments(ksq, kh, 0.0, dt)
+    uniform = n_steps > 0 and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-12, atol=1e-15)
+    if uniform and times[0] >= 0.0 and times[-1] <= 1.0:
+        # constant-coefficient recursion, one lfilter per mode and block
+        decay, var = step_moments(ksq, kh, 0.0, times[1] - times[0])
         sig = np.sqrt(var)
-        noise = sig[:, None] * _to_complex_block(normals[:, 1:, :], ksq)
-        for j in range(reps.size):
+        for j, mode_index in enumerate(reps):
+            gen = stream(int(mode_index))
+            states[0, j] = (sig0[j] * _to_complex(gen.standard_normal((1, 2)), ksq[j]))[0]
             zi = np.array([decay[j] * states[0, j]])
-            states[1:, j], _ = lfilter([1.0], [1.0, -decay[j]], noise[j], zi=zi)
+            done = 0
+            while done < n_steps:
+                c = min(_CHUNK, n_steps - done)
+                noise = sig[j] * _to_complex(gen.standard_normal((c, 2)), ksq[j])
+                y, zi = lfilter([1.0], [1.0, -decay[j]], noise, zi=zi)
+                states[done + 1 : done + 1 + c, j] = y
+                done += c
     else:
-        cur = states[0].copy()
-        for i in range(1, n_t):
+        normals = np.empty((reps.size, times.size, 2), dtype=np.float64)
+        for j, mode_index in enumerate(reps):
+            stream(int(mode_index)).standard_normal(out=normals[j])
+        cur = sig0 * _to_complex(normals[:, 0, :], ksq)
+        states[0] = cur
+        for i in range(1, times.size):
             decay, var = step_moments(ksq, kh, times[i - 1], times[i])
             cur = decay * cur + np.sqrt(var) * _to_complex(normals[:, i, :], ksq)
             states[i] = cur
 
-    coeffs = np.empty((n_t, len(modes)), dtype=np.complex128)
+    # the negation of every other mode is a representative
+    coeffs = np.empty((times.size, len(modes)), dtype=np.complex128)
     coeffs[:, reps] = states
     others = np.nonzero(~modes.rep_mask)[0]
-    coeffs[:, others] = np.conj(states[:, _rep_position(modes, reps)[modes.neg_index[others]]])
+    coeffs[:, others] = np.conj(coeffs[:, modes.neg_index[others]])
     if not np.all(np.isfinite(coeffs.view(np.float64))):
         raise FloatingPointError("non-finite mode coefficient")
     return NoisePath(spec, modes, times, coeffs, seed, realization)
 
 
-def _rep_position(modes: ModeSet, reps: np.ndarray) -> np.ndarray:
-    pos = np.full(len(modes), -1, dtype=np.int64)
-    pos[reps] = np.arange(reps.size)
-    return pos
-
-
-def _to_complex(z2, ksq):
-    # zero mode stays real; its second normal is deliberately unused
-    return np.where(ksq > 0.0, (z2[:, 0] + 1j * z2[:, 1]) / np.sqrt(2.0), z2[:, 0])
-
-
-def _to_complex_block(z3, ksq):
-    zc = (z3[..., 0] + 1j * z3[..., 1]) / np.sqrt(2.0)
-    zero = ksq == 0.0
-    if np.any(zero):
-        zc[zero] = z3[zero][..., 0]
-    return zc
-
-
-def sample_noise_path(spec: CovarianceSpec, time_grid, seed: int, realization: int = 0) -> NoisePath:
-    """Sample the noise modes on a uniform time grid (the NoisePath contract)."""
-    time_grid = np.asarray(time_grid, dtype=np.float64)
-    steps = np.diff(time_grid)
-    if steps.size and not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15):
-        raise ValueError("sample_noise_path needs a uniform grid; see sample_mode_states")
-    return sample_mode_states(spec, time_grid, seed, realization)
-
-
-def sample_mode_states_strided(
-    spec: CovarianceSpec,
-    dt: float,
-    n_steps: int,
-    stride: int,
-    seed: int,
-    realization: int = 0,
-    modes: ModeSet | None = None,
-    chunk: int = 8192,
-) -> NoisePath:
-    """Sample on the master grid of step dt but keep every stride-th state.
-
-    Returns the same realization as sample_mode_states on the full grid
-    arange(n_steps+1)*dt restricted to the retained rows, bitwise, while
-    holding only those rows in memory.  This is the device for refinement
-    studies: solvers at different resolutions consume different strides
-    of one master realization, so their driving paths are consistent.
-    The master grid must stay inside the noise window [0, 1].
-    """
-    if dt <= 0 or n_steps < 1:
-        raise ValueError("need dt > 0 and n_steps >= 1")
-    if stride < 1 or n_steps % stride:
-        raise ValueError(f"stride {stride} must divide n_steps {n_steps}")
-    if n_steps * dt > 1.0 + 1e-12:
-        raise ValueError("master grid leaves the noise window [0, 1]")
-    if modes is None:
-        modes = make_mode_set(spec.d, spec.kmax)
-    reps = _rep_indices(modes)
-    ksq = modes.ksq[reps]
-    kh = spec.khat(modes.k[reps])
-    decay, var = step_moments(ksq, kh, 0.0, dt)
-    sig = np.sqrt(var)
-    n_keep = n_steps // stride + 1
-    states = np.zeros((n_keep, reps.size), dtype=np.complex128)
-    root = np.sqrt(2.0)
-    stream = _mode_streams(seed, realization)
-    for j, mode_index in enumerate(reps):
-        gen = stream(int(mode_index))
-        gen.standard_normal(2)  # the (zero-variance) initial-state draw
-        zi = np.zeros(1, dtype=np.complex128)
-        pos = 1
-        done = 0
-        while done < n_steps:
-            c = min(chunk, n_steps - done)
-            z = gen.standard_normal((c, 2))
-            zc = (z[:, 0] + 1j * z[:, 1]) / root if ksq[j] > 0 else z[:, 0] + 0j
-            y, zi = lfilter([1.0], [1.0, -decay[j]], sig[j] * zc, zi=zi)
-            # master indices covered by this chunk: done+1 .. done+c
-            first = (done // stride + 1) * stride
-            sel = np.arange(first, done + c + 1, stride) - (done + 1)
-            if sel.size:
-                states[pos : pos + sel.size, j] = y[sel]
-                pos += sel.size
-            done += c
-    coeffs = np.empty((n_keep, len(modes)), dtype=np.complex128)
-    coeffs[:, reps] = states
-    others = np.nonzero(~modes.rep_mask)[0]
-    coeffs[:, others] = np.conj(states[:, _rep_position(modes, reps)[modes.neg_index[others]]])
-    if not np.all(np.isfinite(coeffs.view(np.float64))):
-        raise FloatingPointError("non-finite mode coefficient")
-    times = np.arange(n_keep, dtype=np.float64) * (stride * dt)
-    return NoisePath(spec, modes, times, coeffs, seed, realization)
+def _to_complex(z, ksq):
+    # pairs of normals along the last axis -> standard complex Gaussians;
+    # the zero mode stays real and its second normal is deliberately unused
+    return np.where(ksq > 0.0, (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0), z[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +428,14 @@ def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, weight=None) -
     if residue > 1e-10:
         raise FloatingPointError(f"imaginary residue {residue:.3e} exceeds 1e-10")
     return out.real
+
+
+def _grad_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int) -> np.ndarray:
+    """grad v rows, shape (n_t, d) + grid; component a has mode weight i*k_a."""
+    return np.stack(
+        [_spectral_slabs(modes, coeffs, n_x, 1j * modes.k[:, a]) for a in range(modes.d)],
+        axis=1,
+    )
 
 
 def evaluate_field(path: NoisePath, n_x: int, mode="value") -> Field:

@@ -1,4 +1,4 @@
-"""Golden outputs: sha256 digests of small seeded sampler artifacts.
+"""Golden outputs: sha256 digests of small seeded artifacts.
 
 The rerun tests elsewhere compare a run with a second run, so a change
 that moves every draw the same way passes them.  These digests pin the
@@ -12,12 +12,23 @@ import json
 import numpy as np
 import pytest
 
+from qspde import cli
+from qspde.hoelder import c1alpha_seminorm, centered_gradient, seminorm_dyadic
 from qspde.mc_harness import increment_scaling_fit, regularity_gap_study
-from qspde.spectral_noise import CovarianceSpec, sample_mode_states, sample_mode_states_strided
+from qspde.nonlinearity import builtin
+from qspde.solver import GRAD_V_NEGATED, SolverConfig, contraction_test, solve
+from qspde.spectral_noise import CovarianceSpec, Field, sample_mode_states
 
 
 def _digest_array(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<c16").tobytes()).hexdigest()
+
+
+def _digest_real(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 def _digest_json(obj) -> str:
@@ -42,7 +53,7 @@ def _uniform_d2():
 
 def _strided_4():
     spec = CovarianceSpec(1, 2.0, 5)
-    return sample_mode_states_strided(spec, 1 / 64, 64, 4, seed=77, realization=5).coeffs
+    return sample_mode_states(spec, np.arange(65) / 64, seed=77, realization=5).coeffs[::4]
 
 
 # (builder, sha256 of the coefficient bytes)
@@ -59,9 +70,10 @@ CASES = {
         _uniform_d2,
         "327a7b7564f57eea4a1e5665d7c8cbb68af9e0cec75f1505195ccde6a30e2f7b",
     ),
+    # rows 0, 4, ..., 64 of the full-grid sample, signed zeros included
     "strided_4": (
         _strided_4,
-        "8053cb1f9c7ed36039e7b266e908030394f216993c95180798bbd437d8ff5233",
+        "6b0466aab9b18e2a5f935db4e61c4a0e683eda9b114b7b421abb1170524d52e9",
     ),
 }
 
@@ -85,3 +97,77 @@ def test_golden_gap_study():
     study = regularity_gap_study(seed=7, s=2.0, kmax=3, alpha=0.3, levels=((8, 4), (16, 16)))
     expected = "4d2eb590e02b8514394cd76465383745c70dc6081415e062552bc8f6435d2e40"
     assert _digest_json(study.to_dict()) == expected
+
+
+# ---------------------------------------------------------------------------
+# solver, contraction, campaign and estimator outputs
+
+
+def _solver_case(d, kmax, n_x, dt, t_end, seed):
+    spec = CovarianceSpec(d, 2.0 if d == 1 else 3.0, kmax)
+    cfg = SolverConfig(d, n_x, dt, t_end, builtin("tanh_perturbed", 0.5))
+    path = sample_mode_states(spec, np.arange(cfg.n_steps + 1) * dt, seed=seed)
+    return cfg, path
+
+
+@pytest.mark.parametrize(
+    "d, j_source, expected",
+    [
+        (1, None, "b74080340018bd71ce4769ad0dca14711454c64136c2cc870d0ccbde6f1ab531"),
+        (1, GRAD_V_NEGATED, "99fd64205c7762f5a6b2c61766ef190d5e2396044e464ae46095a3de45a813a6"),
+        (2, GRAD_V_NEGATED, "fce7a389151a7a033056969de39b4b83540d46d6899807a0823ca5c64d20f5e8"),
+    ],
+    ids=["d1_unforced", "d1_grad_v_negated", "d2_grad_v_negated"],
+)
+def test_golden_solve(d, j_source, expected):
+    if d == 1:
+        cfg, path = _solver_case(1, 7, 16, 2.0**-10, 0.125, seed=2017)
+    else:
+        cfg, path = _solver_case(2, 3, 8, 2.0**-9, 0.0625, seed=2017)
+    traj = solve(cfg, path, j_source, save_every=8)
+    assert _digest_real(traj.w, traj.v) == expected
+
+
+def test_golden_contraction():
+    cfg, path = _solver_case(1, 7, 16, 2.0**-10, 0.125, seed=2017)
+    rep = contraction_test(cfg, path, GRAD_V_NEGATED, epsilon=1e-3, seed=4)
+    assert _digest_real(rep.distances, rep.dissipation) == (
+        "b079cb70055cb735aafb8991a78881ad86174449ed9a532ef5a957357593b2ad"
+    )
+
+
+@pytest.mark.parametrize(
+    "mc_solve, expected",
+    [
+        ("false", "15866a67c4e36b2692f3bd60d2019d0d564119f30c4e1e9ef36e8f251bfa6acf"),
+        ("true", "e930c8a5a4a5d2478234109b3646ca7a1dc799c1fd4dc4d4abd8f1f203b08688"),
+    ],
+    ids=["noise_only", "with_solve"],
+)
+def test_golden_mc_records(tmp_path, monkeypatch, capsys, mc_solve, expected):
+    # a relative out_dir keeps the config hash in the csv header fixed
+    monkeypatch.chdir(tmp_path)
+    cfg = {
+        "d": 1, "s": 2.0, "kmax": 3, "n_x": 8, "dt": 0.00390625, "t_end": 0.25,
+        "save_every": 4, "alpha": 0.3, "nonlinearity": "tanh_perturbed",
+        "lambda": 0.5, "j_mode": "grad_v_negated", "mc_solve": mc_solve,
+        "seed": 101, "n_realizations": 3,
+    }
+    (tmp_path / "exp.cfg").write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    assert cli.main(["mc", "--config", "exp.cfg", "--out", "run", "--deterministic"]) == 0
+    capsys.readouterr()
+    blob = (tmp_path / "run" / "mc_records.csv").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == expected
+
+
+def test_golden_seminorms():
+    rng = np.random.default_rng(5)
+    rows = []
+    for d in (1, 2):
+        f = Field(rng.standard_normal((9,) + (8,) * d), dt=1.0 / 32)
+        rep = seminorm_dyadic(f, 0.3)
+        rows.append([rep.to_csv_row(), repr(rep.level_R)])
+        rows.append(repr(c1alpha_seminorm(f, centered_gradient(f), 0.3)))
+    assert _digest_json(rows) == (
+        "20bf6044dba4d23a4555c0d578ca4f461afbd5fbc49ec0dc845440d3479af627"
+    )

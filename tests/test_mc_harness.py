@@ -218,6 +218,11 @@ def test_scaling_se_shrinks_with_sample_size():
     assert small.temporal_se / big.temporal_se == pytest.approx(2.0, rel=0.15)
 
 
+def test_scaling_default_lags_error_names_the_cause():
+    with pytest.raises(ValueError, match=r"kmax=63.*256 \| 2\*kmax\+2.*pass spatial_lags"):
+        increment_scaling_fit(CovarianceSpec(1, 1.5, 63), 3, seed=0)
+
+
 def test_scaling_validation():
     with pytest.raises(ValueError, match="s - d"):
         increment_scaling_fit(CovarianceSpec(1, 3.5, 15), 10, seed=0)

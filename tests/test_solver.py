@@ -17,7 +17,7 @@ from qspde.spectral_noise import (
     CovarianceSpec,
     NoisePath,
     make_mode_set,
-    sample_noise_path,
+    sample_mode_states,
 )
 
 IDENT = builtin("identity")
@@ -27,7 +27,7 @@ TANH = builtin("tanh_perturbed", lam=0.5)
 def uniform_path(d, s, kmax, dt, n_rows, seed):
     spec = CovarianceSpec(d, s, kmax)
     times = np.arange(n_rows + 1) * dt
-    return sample_noise_path(spec, times, seed=seed)
+    return sample_mode_states(spec, times, seed=seed)
 
 
 def zero_path(d, s, kmax, dt, n_rows):

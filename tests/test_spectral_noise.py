@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qspde import spectral_noise
 from qspde.spectral_noise import (
     CovarianceSpec,
     Field,
@@ -18,8 +19,6 @@ from qspde.spectral_noise import (
     mode_stream,
     read_qspd,
     sample_mode_states,
-    sample_mode_states_strided,
-    sample_noise_path,
     step_moments,
     write_qspd,
 )
@@ -173,17 +172,17 @@ def test_ou_step_stationary_variance():
 def test_path_determinism_bitwise():
     spec = CovarianceSpec(1, 2.0, 5)
     times = np.linspace(0.0, 1.0, 9)
-    a = sample_noise_path(spec, times, seed=42)
-    b = sample_noise_path(spec, times, seed=42)
+    a = sample_mode_states(spec, times, seed=42)
+    b = sample_mode_states(spec, times, seed=42)
     assert np.array_equal(a.coeffs, b.coeffs)
-    c = sample_noise_path(spec, times, seed=43)
+    c = sample_mode_states(spec, times, seed=43)
     assert not np.array_equal(a.coeffs, c.coeffs)
 
 
 def test_path_zero_for_nonpositive_times():
     spec = CovarianceSpec(1, 2.0, 3)
     times = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
-    path = sample_noise_path(spec, times, seed=7)
+    path = sample_mode_states(spec, times, seed=7)
     assert np.all(path.coeffs[:3] == 0)
     assert np.any(path.coeffs[3] != 0)
 
@@ -191,7 +190,7 @@ def test_path_zero_for_nonpositive_times():
 def test_path_decays_after_one():
     spec = CovarianceSpec(1, 2.0, 3)
     times = np.array([0.5, 1.0, 1.5, 2.0])
-    path = sample_noise_path(spec, times, seed=7)
+    path = sample_mode_states(spec, times, seed=7)
     decay = np.exp(-0.5 * path.modes.ksq)
     assert np.array_equal(path.coeffs[2], decay * path.coeffs[1])
     assert np.array_equal(path.coeffs[3], decay * path.coeffs[2])
@@ -200,7 +199,7 @@ def test_path_decays_after_one():
 def test_path_reality_pairing_exact():
     spec = CovarianceSpec(2, 3.0, 2)
     times = np.linspace(0.0, 1.0, 5)
-    path = sample_noise_path(spec, times, seed=11)
+    path = sample_mode_states(spec, times, seed=11)
     assert np.array_equal(path.coeffs[:, path.modes.neg_index], np.conj(path.coeffs))
     zero = np.all(path.modes.m == 0, axis=1)
     assert np.all(path.coeffs[:, zero].imag == 0)
@@ -237,25 +236,27 @@ def test_nonuniform_grid_matches_uniform_at_common_times():
     assert np.all(np.isfinite(path.coeffs.view(np.float64)))
 
 
-def test_strided_sampler_bitwise_matches_full_grid():
+def test_strided_sampler_bitwise_matches_full_grid(monkeypatch):
+    # a coarse view of a fine path is its row slice; the block size of the
+    # uniform-grid recursion must not change the carry between blocks.
+    # Bytes, not values: the rows keep the full grid's signed zeros.
     spec = CovarianceSpec(1, 2.0, 3)
-    n_steps, dt = 64, 1.0 / 64
-    times = np.arange(n_steps + 1) * dt
+    times = np.arange(65) / 64
     full = sample_mode_states(spec, times, seed=77, realization=5)
+    monkeypatch.setattr(spectral_noise, "_CHUNK", 7)
+    blocked = sample_mode_states(spec, times, seed=77, realization=5)
+    assert blocked.coeffs.tobytes() == full.coeffs.tobytes()
     for stride in (1, 4, 16):
-        st = sample_mode_states_strided(spec, dt, n_steps, stride, seed=77, realization=5)
-        assert np.array_equal(st.coeffs, full.coeffs[::stride])
-    # chunk boundaries must not change the carry
-    st = sample_mode_states_strided(spec, dt, n_steps, 4, seed=77, realization=5, chunk=7)
-    assert np.array_equal(st.coeffs, full.coeffs[::4])
+        assert blocked.coeffs[::stride].tobytes() == full.coeffs[::stride].tobytes()
 
 
-def test_strided_sampler_d2():
+def test_strided_sampler_d2(monkeypatch):
     spec = CovarianceSpec(2, 3.0, 2)
     times = np.arange(33) / 32
     full = sample_mode_states(spec, times, seed=9)
-    st = sample_mode_states_strided(spec, 1 / 32, 32, 8, seed=9, chunk=5)
-    assert np.array_equal(st.coeffs, full.coeffs[::8])
+    monkeypatch.setattr(spectral_noise, "_CHUNK", 5)
+    blocked = sample_mode_states(spec, times, seed=9)
+    assert blocked.coeffs.tobytes() == full.coeffs.tobytes()
 
 
 def test_mode_streams_are_distinct():
@@ -322,7 +323,7 @@ def test_one_seed_sequence_per_sampling_call(monkeypatch):
     sample_mode_states(spec, np.array([0.5, 1.0]), seed=5, modes=modes)
     assert calls == [(5,)]
     calls.clear()
-    sample_mode_states_strided(spec, 0.25, 4, 2, seed=6, modes=modes)
+    sample_mode_states(spec, np.arange(5) * 0.25, seed=6, modes=modes)
     assert calls == [(6,)]
 
 
@@ -363,7 +364,7 @@ def test_evaluate_gradient_of_constant_mode_is_zero():
 
 def test_evaluate_rejects_aliasing_grid():
     spec = CovarianceSpec(1, 2.0, 4)
-    path = sample_noise_path(spec, np.array([0.0, 1.0]), seed=1)
+    path = sample_mode_states(spec, np.array([0.0, 1.0]), seed=1)
     with pytest.raises(ValueError):
         evaluate_field(path, 2 * 4 + 1)
 
@@ -380,7 +381,7 @@ def test_evaluate_reality_residue_guard():
 
 def test_evaluate_refined_grid_contains_coarse_nodes():
     spec = CovarianceSpec(1, 2.0, 3)
-    path = sample_noise_path(spec, np.linspace(0, 1, 5), seed=13)
+    path = sample_mode_states(spec, np.linspace(0, 1, 5), seed=13)
     coarse = evaluate_field(path, 8).values
     fine = evaluate_field(path, 16).values
     assert np.allclose(fine[:, ::2], coarse, atol=1e-12)
@@ -388,7 +389,7 @@ def test_evaluate_refined_grid_contains_coarse_nodes():
 
 def test_evaluate_d2_gradient_components_differ():
     spec = CovarianceSpec(2, 3.0, 2)
-    path = sample_noise_path(spec, np.array([0.0, 0.5, 1.0]), seed=3)
+    path = sample_mode_states(spec, np.array([0.0, 0.5, 1.0]), seed=3)
     g0 = evaluate_field(path, 8, mode=("gradient", 0)).values
     g1 = evaluate_field(path, 8, mode=("gradient", 1)).values
     assert g0.shape == (3, 8, 8)
