@@ -51,10 +51,16 @@ def builtin(kind: str, lam: float = 1.0) -> Nonlinearity:
         return Nonlinearity("identity", 1.0, 0.0, lambda q: np.asarray(q, float), _ones_like)
     if kind == "tanh_perturbed":
         lam = float(lam)
+        rest = 1.0 - lam
 
         def a(q):
+            # lam*q + (1-lam)*tanh(q), in place on the tanh array (a scalar
+            # for 0-d q, which the augmented operators simply rebind)
             q = np.asarray(q, dtype=np.float64)
-            return lam * q + (1.0 - lam) * np.tanh(q)
+            out = np.tanh(q)
+            out *= rest
+            out += lam * q
+            return out
 
         def da(q):
             q = np.asarray(q, dtype=np.float64)

@@ -11,10 +11,19 @@ background gradients, and a backward-difference divergence.  The
 scheme conserves the spatial mean to roundoff and is explicit Euler
 in time under the usual diffusive CFL bound (upper ellipticity is
 normalized to one, so the bound carries no nonlinearity constant).
+
+One kernel, _FluxMarch, does every step.  It marches a batch of slabs
+shaped (B,) + grid with slice differences into buffers allocated once
+per march; grad v is averaged onto faces once per spectral block.
+solve marches B = 1, contraction_test marches its pair as B = 2 with a
+hook that sums the dissipation, and flux_divergence and step are thin
+B = 1 wrappers.  Every output equals, bit for bit, that of the np.roll
+formulation which tests/test_solver.py keeps as the oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -107,8 +116,116 @@ def _check_grid(name, arr, d, n_x):
         raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
 
 
-def _face_average(arr, axis):
-    return 0.5 * (arr + np.roll(arr, -1, axis=axis))
+def _layers(d, n_x, a):
+    """Index tuples (head, tail, first, last) along grid axis a of d.
+
+    head/tail are the cells [0, n_x-1) and [1, n_x); first/last are the
+    wrap-around layers 0 and n_x-1.  A leading Ellipsis lets the same
+    tuples index a slab, a (B,) + grid batch or a component of a field.
+    """
+    rest = (slice(None),) * (d - 1 - a)
+    return tuple(
+        (Ellipsis, s) + rest
+        for s in (slice(0, n_x - 1), slice(1, n_x), slice(0, 1), slice(n_x - 1, n_x))
+    )
+
+
+def _face_average(field, d, out):
+    """Average component a of field onto the faces normal to grid axis a.
+
+    field and out carry (..., d) + grid; out[a] at cell i is
+    0.5*(field[a] at i + field[a] at i+1 along axis a, periodic), the
+    values of 0.5*(f + np.roll(f, -1, axis)).  out may be field itself.
+    """
+    n_x = field.shape[-1]
+    for a in range(d):
+        comp = (Ellipsis, a) + (slice(None),) * d
+        f, o = field[comp], out[comp]
+        head, tail, first, last = _layers(d, n_x, a)
+        wrap = f[first].copy()  # read before an in-place write covers it
+        np.add(f[head], f[tail], o[head])
+        np.add(f[last], wrap, o[last])
+        o *= 0.5
+    return out
+
+
+def _faces(name, field, d, n_x):
+    """Validated copy of a (d,) + grid field averaged onto faces, or None."""
+    if field is None:
+        return None
+    field = np.asarray(field, dtype=np.float64)
+    _check_grid(name, field, d, n_x)
+    return _face_average(field, d, np.empty_like(field))
+
+
+class _FluxMarch:
+    """Explicit flux-form Euler steps of a batch of slabs, shape (B,) + grid.
+
+    Differences to faces and back are slice pairs plus one wrap-around
+    layer per axis, written into face buffers allocated once per march.
+    Each step runs the ufuncs of the np.roll formulation on the same
+    operands, so its output is bitwise that formulation's.  grad v and j
+    arrive already averaged onto faces, shape (d,) + grid, shared by
+    every row of the batch.
+    """
+
+    def __init__(self, d: int, n_x: int, nl: Nonlinearity, batch: int):
+        self.nl = nl
+        self.dx = 1.0 / n_x
+        shape = (batch,) + (n_x,) * d
+        self._g, self._q, self._f, self._o, self._div = (np.empty(shape) for _ in range(5))
+        self._axes = [_layers(d, n_x, a) for a in range(d)]
+
+    def divergence(self, w, gvf=None, jf=None, hook=None) -> np.ndarray:
+        """Backward divergence of A(grad w + gvf) + jf, into a reused buffer.
+
+        hook(g, f), when given, sees each axis's face gradient of w and
+        flux A(g + gvf) before j is added.
+        """
+        div, dx = self._div, self.dx
+        div.fill(0.0)
+        for a, (head, tail, first, last) in enumerate(self._axes):
+            g = self._g
+            np.subtract(w[tail], w[head], g[head])
+            np.subtract(w[first], w[last], g[last])
+            np.true_divide(g, dx, g)
+            f = self.nl.a(g if gvf is None else np.add(g, gvf[a], self._q))
+            if hook is not None:
+                hook(g, f)
+            if jf is not None:
+                f = np.add(f, jf[a], self._f)
+            o = self._o
+            np.subtract(f[tail], f[head], o[tail])
+            np.subtract(f[first], f[last], o[first])
+            np.true_divide(o, dx, o)
+            np.add(div, o, div)
+        return div
+
+    def advance(self, w, t, dt, gvf=None, jf=None, src=None, hook=None) -> list:
+        """w += dt*(divergence + src) in place; returns each row's spatial mean.
+
+        A non-finite node aborts with its batch row and node named.  Any
+        non-finite node makes the row's sum non-finite, so the nodes are
+        scanned only then; a finite row whose sum overflows goes on.
+        """
+        div = self.divergence(w, gvf, jf, hook)
+        if src is not None:
+            np.add(div, src, div)
+        np.multiply(div, dt, div)
+        np.add(w, div, w)
+        means = []
+        for b, row in enumerate(w):
+            mean = float(np.add.reduce(row, None)) / row.size  # == row.mean()
+            if not math.isfinite(mean):
+                bad = np.argwhere(~np.isfinite(row))
+                if bad.size:
+                    copy = f", copy {b}" if w.shape[0] > 1 else ""
+                    raise FloatingPointError(
+                        f"solver produced a non-finite value at t={t:.9g}{copy}, "
+                        f"node {tuple(int(i) for i in bad[0])}"
+                    )
+            means.append(mean)
+        return means
 
 
 def flux_divergence(w, grad_v=None, j=None, nl: Nonlinearity = None) -> np.ndarray:
@@ -128,22 +245,9 @@ def flux_divergence(w, grad_v=None, j=None, nl: Nonlinearity = None) -> np.ndarr
     n_x = w.shape[0]
     if w.shape != (n_x,) * d:
         raise ValueError(f"w must be square, got shape {w.shape}")
-    if grad_v is not None:
-        grad_v = np.asarray(grad_v, dtype=np.float64)
-        _check_grid("grad_v", grad_v, d, n_x)
-    if j is not None:
-        j = np.asarray(j, dtype=np.float64)
-        _check_grid("j", j, d, n_x)
-    dx = 1.0 / n_x
-    div = np.zeros_like(w)
-    for a in range(d):
-        g = (np.roll(w, -1, axis=a) - w) / dx
-        q = g if grad_v is None else g + _face_average(grad_v[a], a)
-        f = nl.a(q)
-        if j is not None:
-            f = f + _face_average(j[a], a)
-        div += (f - np.roll(f, 1, axis=a)) / dx
-    return div
+    gvf = _faces("grad_v", grad_v, d, n_x)
+    jf = _faces("j", j, d, n_x)
+    return _FluxMarch(d, n_x, nl, 1).divergence(w[None], gvf, jf)[0]
 
 
 def step(w, t, cfg: SolverConfig, grad_v=None, j=None, source=None) -> np.ndarray:
@@ -154,17 +258,14 @@ def step(w, t, cfg: SolverConfig, grad_v=None, j=None, source=None) -> np.ndarra
     the grad_v_negated wiring).  A non-finite result aborts with the
     first offending node named.
     """
-    rhs = flux_divergence(w, grad_v, j, cfg.nl)
-    if source is not None:
-        rhs = rhs + source
-    out = w + cfg.dt * rhs
-    if not np.all(np.isfinite(out)):
-        bad = np.argwhere(~np.isfinite(out))[0]
-        raise FloatingPointError(
-            f"solver produced a non-finite value at t={t:.9g}, "
-            f"node {tuple(int(i) for i in bad)}"
-        )
-    return out
+    out = np.array(w, dtype=np.float64)[None]
+    grid = (cfg.n_x,) * cfg.d
+    if out.shape[1:] != grid:
+        raise ValueError(f"w has shape {out.shape[1:]}, expected {grid}")
+    gvf = _faces("grad_v", grad_v, cfg.d, cfg.n_x)
+    jf = _faces("j", j, cfg.d, cfg.n_x)
+    _FluxMarch(cfg.d, cfg.n_x, cfg.nl, 1).advance(out, t, cfg.dt, gvf, jf, source)
+    return out[0]
 
 
 def _noise_alignment(cfg: SolverConfig, noise: NoisePath) -> int:
@@ -192,7 +293,7 @@ def _noise_alignment(cfg: SolverConfig, noise: NoisePath) -> int:
 
 
 class _SlabStream:
-    """Batched spectral evaluation of grad v (and optionally div j) rows."""
+    """Batched spectral evaluation of face-averaged grad v (and div j) rows."""
 
     def __init__(self, noise: NoisePath, rows, n_x, need_source, block=2048):
         self.noise = noise
@@ -214,7 +315,8 @@ class _SlabStream:
             sel = self.rows[self._lo:hi]
             coeffs = self.noise.coeffs[sel]
             modes = self.noise.modes
-            self._gv = _grad_slabs(modes, coeffs, self.n_x)
+            gv = _grad_slabs(modes, coeffs, self.n_x)
+            self._gv = _face_average(gv, modes.d, gv)
             if self.need_source:
                 self._src = _spectral_slabs(modes, coeffs, self.n_x, self._ws)
         k = i - self._lo
@@ -223,7 +325,7 @@ class _SlabStream:
 
 
 def _resolve_j(j_source: JSource, cfg: SolverConfig):
-    """Split j_source into (spectral source flag, face field provider)."""
+    """Split j_source into (spectral source flag, t -> j on faces or None)."""
     if j_source is None:
         return False, None
     if isinstance(j_source, str):
@@ -231,10 +333,9 @@ def _resolve_j(j_source: JSource, cfg: SolverConfig):
             raise ValueError(f"unknown j_source {j_source!r}")
         return True, None
     if callable(j_source):
-        return False, j_source
-    arr = np.asarray(j_source, dtype=np.float64)
-    _check_grid("j", arr, cfg.d, cfg.n_x)
-    return False, lambda t: arr
+        return False, lambda t: _faces("j", j_source(t), cfg.d, cfg.n_x)
+    jf = _faces("j", j_source, cfg.d, cfg.n_x)
+    return False, lambda t: jf
 
 
 def solve(
@@ -257,33 +358,36 @@ def solve(
     n_steps = cfg.n_steps
     if save_every < 1 or n_steps % save_every:
         raise ValueError("save_every must be >= 1 and divide the step count")
-    spectral_j, j_of_t = _resolve_j(j_source, cfg)
+    spectral_j, j_faces = _resolve_j(j_source, cfg)
 
     rows = np.arange(n_steps + 1, dtype=np.int64) * ratio
     stream = _SlabStream(noise, rows, cfg.n_x, spectral_j, block)
+    march = _FluxMarch(cfg.d, cfg.n_x, cfg.nl, 1)
 
     grid = (cfg.n_x,) * cfg.d
-    w = np.zeros(grid)
-    saves = [w.copy()]
+    w = np.zeros((1,) + grid)
+    saves = np.empty((n_steps // save_every + 1,) + grid)
+    saves[0] = w[0]
     max_mean = 0.0
     for i in range(n_steps):
         t = i * cfg.dt
-        gv, src = stream.fetch(i)
-        j = j_of_t(t) if j_of_t is not None else None
-        w = step(w, t, cfg, gv, j, src)
-        max_mean = max(max_mean, abs(float(w.mean())))
+        gvf, src = stream.fetch(i)
+        jf = j_faces(t) if j_faces is not None else None
+        (mean,) = march.advance(w, t, cfg.dt, gvf, jf, src)
+        max_mean = max(max_mean, abs(mean))
         if (i + 1) % save_every == 0:
-            saves.append(w.copy())
+            saves[(i + 1) // save_every] = w[0]
+    # the last block's views keep it alive; drop it before the peak below
+    stream = gvf = src = None
 
     save_rows = rows[::save_every]
     times = np.asarray(noise.times)[save_rows]
     coeffs = noise.coeffs[save_rows]
-    # evaluate the slabs before stacking w: the transforms' scratch is the peak
     v = _spectral_slabs(noise.modes, coeffs, cfg.n_x, None)
     grad_v = _grad_slabs(noise.modes, coeffs, cfg.n_x)
     return Trajectory(
         times=times,
-        w=np.asarray(saves),
+        w=saves,
         v=v,
         grad_v=grad_v,
         dt=cfg.dt,
@@ -335,7 +439,9 @@ def contraction_test(
     amplitude epsilon.  Each step records the discrete L2 distance and the
     dissipation sum_faces (G1-G2).(A(G1+gv)-A(G2+gv))*dx^d, which the
     ellipticity of A keeps non-negative.  PASS means no dissipation below
-    -1e-10 and final distance <= initial*(1 + 10*dt).
+    -1e-10 and final distance <= initial*(1 + 10*dt).  The two copies
+    march together as one batch of two; a non-finite value aborts with
+    the copy (0 or 1) and the node named.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -343,61 +449,41 @@ def contraction_test(
         nl = cfg.nl
     ratio = _noise_alignment(cfg, noise)
     n_steps = cfg.n_steps
-    spectral_j, j_of_t = _resolve_j(j_source, cfg)
+    spectral_j, j_faces = _resolve_j(j_source, cfg)
     rows = np.arange(n_steps + 1, dtype=np.int64) * ratio
     stream = _SlabStream(noise, rows, cfg.n_x, spectral_j, block)
+    march = _FluxMarch(cfg.d, cfg.n_x, nl, 2)
 
     grid = (cfg.n_x,) * cfg.d
     cell = cfg.dx**cfg.d
-    w1 = np.zeros(grid)
+    w = np.zeros((2,) + grid)
     rng = np.random.default_rng(seed)
     pert = rng.standard_normal(grid)
     pert -= pert.mean()
     peak = np.max(np.abs(pert))
-    w2 = pert * (epsilon / peak) if epsilon > 0 and peak > 0 else np.zeros(grid)
+    if epsilon > 0 and peak > 0:
+        w[1] = pert * (epsilon / peak)
 
     def l2(a, b):
         return float(np.sqrt(np.sum((a - b) ** 2) * cell))
 
     distances = np.empty(n_steps + 1)
-    dissipation = np.empty(n_steps)
-    distances[0] = l2(w1, w2)
-    dx = cfg.dx
-    mean0_1 = float(w1.mean())
-    mean0_2 = float(w2.mean())
+    dissipation = np.zeros(n_steps)
+    distances[0] = l2(w[0], w[1])
+    mean0 = [float(row.mean()) for row in w]
     drift = 0.0
+
+    def dissipate(g, f):
+        # sum over the faces normal to one axis of (G1-G2).(A(G1+gv)-A(G2+gv))
+        dissipation[i] += float(np.sum((g[0] - g[1]) * (f[0] - f[1]))) * cell
+
     for i in range(n_steps):
         t = i * cfg.dt
-        gv, src = stream.fetch(i)
-        j = j_of_t(t) if j_of_t is not None else None
-        div1 = np.zeros(grid)
-        div2 = np.zeros(grid)
-        diss = 0.0
-        for a in range(cfg.d):
-            g1 = (np.roll(w1, -1, axis=a) - w1) / dx
-            g2 = (np.roll(w2, -1, axis=a) - w2) / dx
-            gvf = _face_average(gv[a], a)
-            f1 = nl.a(g1 + gvf)
-            f2 = nl.a(g2 + gvf)
-            diss += float(np.sum((g1 - g2) * (f1 - f2))) * cell
-            if j is not None:
-                jf = _face_average(j[a], a)
-                f1 = f1 + jf
-                f2 = f2 + jf
-            div1 += (f1 - np.roll(f1, 1, axis=a)) / dx
-            div2 += (f2 - np.roll(f2, 1, axis=a)) / dx
-        dissipation[i] = diss
-        if src is not None:
-            div1 += src
-            div2 += src
-        w1 = w1 + cfg.dt * div1
-        w2 = w2 + cfg.dt * div2
-        if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))):
-            raise FloatingPointError(f"contraction pair diverged at t={t:.9g}")
-        distances[i + 1] = l2(w1, w2)
-        drift = max(
-            drift, abs(float(w1.mean()) - mean0_1), abs(float(w2.mean()) - mean0_2)
-        )
+        gvf, src = stream.fetch(i)
+        jf = j_faces(t) if j_faces is not None else None
+        means = march.advance(w, t, cfg.dt, gvf, jf, src, dissipate)
+        distances[i + 1] = l2(w[0], w[1])
+        drift = max(drift, *(abs(m - m0) for m, m0 in zip(means, mean0)))
 
     passed = bool(
         np.min(dissipation) >= -1e-10

@@ -422,12 +422,14 @@ def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, weight=None) -
     idx = np.ravel_multi_index(tuple((modes.m % n_x).T), (n_x,) * d)
     buf = np.zeros((n_t, n_x**d), dtype=np.complex128)
     buf[:, idx] = coeffs * weight if weight is not None else coeffs
-    buf = buf.reshape((n_t,) + (n_x,) * d)
-    out = np.fft.ifftn(buf, axes=tuple(range(1, d + 1))) * float(n_x**d)
+    out = np.fft.ifftn(buf.reshape((n_t,) + (n_x,) * d), axes=tuple(range(1, d + 1)))
+    del buf
+    out *= float(n_x**d)
     residue = float(np.max(np.abs(out.imag))) if out.size else 0.0
     if residue > 1e-10:
         raise FloatingPointError(f"imaginary residue {residue:.3e} exceeds 1e-10")
-    return out.real
+    # a copy, not the strided .real view that would keep the complex array alive
+    return out.real.copy()
 
 
 def _grad_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int) -> np.ndarray:

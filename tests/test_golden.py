@@ -128,12 +128,69 @@ def test_golden_solve(d, j_source, expected):
     assert _digest_real(traj.w, traj.v) == expected
 
 
+@pytest.mark.parametrize(
+    "d, j_source, expected",
+    [
+        (1, None, "1.5612511283791264e-17"),
+        (1, GRAD_V_NEGATED, "1.1709383462843448e-17"),
+        (2, GRAD_V_NEGATED, "3.0357660829594124e-18"),
+    ],
+    ids=["d1_unforced", "d1_grad_v_negated", "d2_grad_v_negated"],
+)
+def test_golden_mean_drift_rate(d, j_source, expected):
+    if d == 1:
+        cfg, path = _solver_case(1, 7, 16, 2.0**-10, 0.125, seed=2017)
+    else:
+        cfg, path = _solver_case(2, 3, 8, 2.0**-9, 0.0625, seed=2017)
+    assert repr(solve(cfg, path, j_source, save_every=8).mean_drift_rate) == expected
+
+
+_J_CONSTANT = np.random.default_rng(8).standard_normal((1, 16))
+
+
+def _j_callable(t):
+    x = np.arange(16) / 16
+    return np.sin(2 * np.pi * x + 40.0 * t)[None] * (1.0 + t)
+
+
+@pytest.mark.parametrize(
+    "j_source, expected, drift",
+    [
+        (
+            _J_CONSTANT,
+            "f55328066ef8ed926c6af453f1ceb518b8c62407486a32f1f61843a96bc741d7",
+            "2.914335439641036e-16",
+        ),
+        (
+            _j_callable,
+            "5dab1912cab8e5ae1b543f5dba4de051c94621459854cf283ab9648f3a7dd7f5",
+            "5.898059818321144e-17",
+        ),
+    ],
+    ids=["d1_constant_j", "d1_callable_j"],
+)
+def test_golden_solve_user_j(j_source, expected, drift):
+    cfg, path = _solver_case(1, 7, 16, 2.0**-10, 0.125, seed=2017)
+    traj = solve(cfg, path, j_source, save_every=8)
+    assert _digest_real(traj.w, traj.v) == expected
+    assert repr(traj.mean_drift_rate) == drift
+
+
 def test_golden_contraction():
     cfg, path = _solver_case(1, 7, 16, 2.0**-10, 0.125, seed=2017)
     rep = contraction_test(cfg, path, GRAD_V_NEGATED, epsilon=1e-3, seed=4)
     assert _digest_real(rep.distances, rep.dissipation) == (
         "b079cb70055cb735aafb8991a78881ad86174449ed9a532ef5a957357593b2ad"
     )
+
+
+def test_golden_contraction_d2():
+    cfg, path = _solver_case(2, 3, 8, 2.0**-9, 0.0625, seed=2017)
+    rep = contraction_test(cfg, path, GRAD_V_NEGATED, epsilon=1e-3, seed=9)
+    assert _digest_real(rep.distances, rep.dissipation) == (
+        "52a17adf5315238c40674c656f6f91e5a2db070315ae9c9b72a8adf718e331e2"
+    )
+    assert repr(rep.mean_drift_rate) == "3.469446951953614e-18"
 
 
 @pytest.mark.parametrize(

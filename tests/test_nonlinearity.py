@@ -27,6 +27,20 @@ def test_tanh_values_at_zero():
     assert nl.lam == 0.5
 
 
+def test_tanh_flux_bitwise_matches_formula():
+    # the flux works in place on its tanh array; values, shapes and the
+    # input must be those of lam*q + (1-lam)*tanh(q)
+    nl = builtin("tanh_perturbed", lam=0.3)
+    grid = np.random.default_rng(2).standard_normal((4, 6))
+    for q in (grid, grid[:, ::2], np.asarray(0.7), -1.2):
+        before = np.array(q, copy=True)
+        ref = 0.3 * np.asarray(q) + 0.7 * np.tanh(q)
+        out = nl.a(q)
+        assert np.shape(out) == np.shape(ref)
+        assert np.asarray(out).tobytes() == np.asarray(ref).tobytes()
+        assert np.array_equal(q, before)
+
+
 def test_sech2_slope_constant_against_grid_search():
     # brute-force max of |d/dq sech^2(q)| over a fine grid
     q = np.arange(-5.0, 5.0, 1e-4)

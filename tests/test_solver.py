@@ -4,10 +4,12 @@ conservation, and contraction behaviour."""
 import numpy as np
 import pytest
 
-from qspde.nonlinearity import builtin
+from qspde.nonlinearity import Nonlinearity, builtin
 from qspde.solver import (
     GRAD_V_NEGATED,
     SolverConfig,
+    _face_average,
+    _FluxMarch,
     contraction_test,
     flux_divergence,
     solve,
@@ -16,6 +18,7 @@ from qspde.solver import (
 from qspde.spectral_noise import (
     CovarianceSpec,
     NoisePath,
+    _spectral_slabs,
     make_mode_set,
     sample_mode_states,
 )
@@ -87,6 +90,91 @@ def test_divergence_shape_validation():
         flux_divergence(np.zeros(8), grad_v=np.zeros((2, 8)), nl=IDENT)
     with pytest.raises(ValueError):
         flux_divergence(np.zeros(8), j=np.zeros((1, 4)), nl=IDENT)
+
+
+def _roll_divergence(w, grad_v, j, nl):
+    # the np.roll formulation of the flux divergence: the slice kernel's oracle
+    d = w.ndim
+    dx = 1.0 / w.shape[0]
+    div = np.zeros_like(w)
+    for a in range(d):
+        g = (np.roll(w, -1, axis=a) - w) / dx
+        if grad_v is not None:
+            g = g + 0.5 * (grad_v[a] + np.roll(grad_v[a], -1, axis=a))
+        f = nl.a(g)
+        if j is not None:
+            f = f + 0.5 * (j[a] + np.roll(j[a], -1, axis=a))
+        div += (f - np.roll(f, 1, axis=a)) / dx
+    return div
+
+
+def _random_slab(rng, shape):
+    # layers +0, +0, -0 along axis 0 make a -0 flux difference there,
+    # which the divergence sum, started as 0 + x, must turn into +0
+    w = rng.standard_normal(shape)
+    w[0], w[1], w[2] = 0.0, 0.0, -0.0
+    return w
+
+
+@pytest.mark.parametrize("d, n_x", [(1, 12), (2, 10), (3, 6)])
+@pytest.mark.parametrize("nl", [IDENT, TANH], ids=["identity", "tanh"])
+@pytest.mark.parametrize("with_gv", [False, True], ids=["no_gv", "gv"])
+@pytest.mark.parametrize("with_j", [False, True], ids=["no_j", "j"])
+def test_kernel_bitwise_matches_roll_oracle(d, n_x, nl, with_gv, with_j):
+    rng = np.random.default_rng(17 * d + n_x)
+    grid = (n_x,) * d
+    w = _random_slab(rng, grid)
+    gv = rng.standard_normal((d,) + grid) if with_gv else None
+    j = rng.standard_normal((d,) + grid) if with_j else None
+    src = rng.standard_normal(grid)
+    expected = _roll_divergence(w, gv, j, nl)
+    assert flux_divergence(w, gv, j, nl).tobytes() == expected.tobytes()
+
+    dt = 0.25 / (n_x * n_x * 2 * d)
+    cfg = SolverConfig(d, n_x, dt, dt, nl)
+    assert step(w, 0.0, cfg, gv, j).tobytes() == (w + dt * expected).tobytes()
+    stepped = w + dt * (expected + src)
+    assert step(w, 0.0, cfg, gv, j, src).tobytes() == stepped.tobytes()
+
+
+def test_face_average_in_place_matches_roll():
+    rng = np.random.default_rng(3)
+    for d, n_x in ((1, 9), (2, 5), (3, 4)):
+        field = rng.standard_normal((7, d) + (n_x,) * d)
+        expected = np.stack(
+            [0.5 * (field[:, a] + np.roll(field[:, a], -1, axis=1 + a)) for a in range(d)],
+            axis=1,
+        )
+        assert _face_average(field, d, field).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d, n_x", [(1, 12), (2, 6)])
+def test_batch_march_matches_single_marches_bitwise(d, n_x):
+    rng = np.random.default_rng(d)
+    grid = (n_x,) * d
+    dt = 0.25 / (n_x * n_x * 2 * d)
+    both = np.stack([_random_slab(rng, grid), _random_slab(rng, grid)])
+    rows = [both[b : b + 1].copy() for b in range(2)]
+    batch = _FluxMarch(d, n_x, TANH, 2)
+    singles = [_FluxMarch(d, n_x, TANH, 1) for _ in range(2)]
+    for i in range(6):
+        gvf, jf = rng.standard_normal((2, d) + grid)
+        src = rng.standard_normal(grid)
+        means = batch.advance(both, i * dt, dt, gvf, jf, src)
+        for b in range(2):
+            (mean,) = singles[b].advance(rows[b], i * dt, dt, gvf, jf, src)
+            assert mean == means[b] == float(rows[b].mean())
+    assert both.tobytes() == np.concatenate(rows).tobytes()
+
+
+def test_finite_field_whose_sum_overflows_does_not_abort():
+    # the abort check reads the spatial mean first; its sum is inf here
+    # although every node is finite, which must not count as divergence
+    cfg = SolverConfig(d=1, n_x=8, dt=2.0**-8, t_end=0.25, nl=IDENT)
+    w = np.full(8, 1.5e308)
+    with np.errstate(over="ignore"):
+        out = step(w, 0.0, cfg)
+    assert np.array_equal(out, w)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +258,16 @@ def test_zero_noise_solve_stays_zero():
     assert np.all(traj.v == 0.0)
     assert np.all(traj.u == 0.0)
     assert traj.mean_drift_rate == 0.0
+
+
+def test_spectral_slabs_are_contiguous_real_copies():
+    # a strided .real view would keep the complex transform alive
+    path = uniform_path(2, 3.0, 3, 2.0**-9, 16, seed=1)
+    v = _spectral_slabs(path.modes, path.coeffs, 8)
+    assert v.base is None and v.flags.c_contiguous and v.dtype == np.float64
+    cfg = SolverConfig(d=2, n_x=8, dt=2.0**-9, t_end=2.0**-5, nl=TANH)
+    traj = solve(cfg, path, save_every=2)
+    assert traj.v.base is None and traj.v.flags.c_contiguous
 
 
 def test_nodal_recursion_matches_independent_oracle():
@@ -289,6 +387,19 @@ def test_contraction_tanh_dissipation_nonnegative():
     assert rep.min_dissipation >= -1e-10
     assert rep.final_distance <= rep.initial_distance
     assert rep.mean_drift_rate <= 1e-10
+
+
+def test_contraction_divergence_names_copy_and_node():
+    # a flux that overflows on any nonzero gradient blows up only the
+    # perturbed copy; the zero copy stays at rest
+    blow = Nonlinearity("blow", 1.0, 0.0, lambda q: np.asarray(q) / 1e-320, np.ones_like)
+    cfg = SolverConfig(d=1, n_x=16, dt=2.0**-10, t_end=0.125, nl=IDENT)
+    path = zero_path(1, 2.0, 1, 2.0**-10, 128)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(FloatingPointError) as exc:
+            contraction_test(cfg, path, epsilon=1e-3, seed=4, nl=blow)
+    msg = str(exc.value)
+    assert "non-finite" in msg and "t=0," in msg and "copy 1" in msg and "node (" in msg
 
 
 def test_contraction_rejects_negative_epsilon():
