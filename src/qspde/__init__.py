@@ -14,7 +14,6 @@ from .hoelder import (
     HoelderReport,
     c1alpha_seminorm,
     centered_gradient,
-    parabolic_distance,
     seminorm_dyadic,
     seminorm_naive,
 )
@@ -36,7 +35,6 @@ from .nonlinearity import (
     EllipticityReport,
     Nonlinearity,
     builtin,
-    secant_coefficient,
     verify_ellipticity,
 )
 from .solver import (
@@ -45,9 +43,7 @@ from .solver import (
     SolverConfig,
     Trajectory,
     contraction_test,
-    flux_divergence,
     solve,
-    step,
 )
 from .spectral_noise import (
     CovarianceSpec,
@@ -96,21 +92,17 @@ __all__ = [
     "covariance_check",
     "covariance_closed_form",
     "evaluate_field",
-    "flux_divergence",
     "increment_scaling_fit",
     "make_mode_set",
-    "parabolic_distance",
     "parse_config",
     "read_qspd",
     "regularity_gap_study",
     "run_campaign",
     "sample_mode_states",
-    "secant_coefficient",
     "seminorm_dyadic",
     "seminorm_naive",
     "serialize",
     "solve",
-    "step",
     "tail_fit",
     "verify_ellipticity",
     "write_qspd",

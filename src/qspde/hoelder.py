@@ -27,23 +27,6 @@ from .spectral_noise import Field
 C2_EQUIVALENCE = 8.80
 
 
-def parabolic_distance(z, z_prime) -> float:
-    """sqrt(|t-t'|) + |x-x'| with minimal-image periodic Euclidean |x-x'|.
-
-    Points are (t, x) with x a scalar or length-d sequence; coordinates
-    live on the unit torus per axis.
-    """
-    t, x = z
-    t2, x2 = z_prime
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
-    if x.shape != x2.shape:
-        raise ValueError("spatial coordinates differ in dimension")
-    delta = np.abs(x - x2) % 1.0
-    delta = np.minimum(delta, 1.0 - delta)
-    return float(np.sqrt(abs(t - t2)) + np.sqrt(np.sum(delta * delta)))
-
-
 @dataclass
 class HoelderReport:
     """One seminorm evaluation: estimate(s), witness pair, and domain.

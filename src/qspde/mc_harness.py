@@ -24,7 +24,6 @@ from .solver import GRAD_V_NEGATED, SolverConfig, solve
 from .spectral_noise import (
     CovarianceSpec,
     Field,
-    _grad_slabs,
     _spectral_slabs,
     covariance_closed_form,
     make_mode_set,
@@ -128,7 +127,7 @@ def _campaign_record(plan: dict, r: int) -> McRecord:
         grad_u_alpha = _component_max_dyadic(grad_w + gv, dt_save, alpha)
         w_norm = c1alpha_seminorm(wf, grad_w, alpha)
     else:
-        gv = _grad_slabs(path.modes, path.coeffs, plan["n_x"])
+        gv = _spectral_slabs(path.modes, path.coeffs, plan["n_x"], range(plan["d"]))
         grad_v_alpha = _component_max_dyadic(gv, plan["dt"], alpha)
         grad_u_alpha = None
         w_norm = None
@@ -403,7 +402,6 @@ def increment_scaling_fit(
 
     times = np.concatenate([np.sort(1.0 - temporal_lags), [1.0]])
     modes = make_mode_set(spec.d, spec.kmax)
-    weight = 1j * modes.k[:, j]
     n_sp = spatial_lags.size
     n_tp = temporal_lags.size
     sp = np.empty((N, n_sp))
@@ -411,7 +409,7 @@ def increment_scaling_fit(
     order = np.argsort(np.argsort(-temporal_lags))  # map lag order to time order
     for r in range(N):
         path = sample_mode_states(spec, times, seed, realization=r, modes=modes)
-        h = _spectral_slabs(modes, path.coeffs, n_x, weight)
+        h = _spectral_slabs(modes, path.coeffs, n_x, (j,))[:, 0]
         last = h[-1]
         for q, st in enumerate(strides):
             diff = np.roll(last, -st, axis=0) - last

@@ -74,28 +74,6 @@ def _ones_like(q):
     return np.ones_like(np.asarray(q, dtype=np.float64))
 
 
-def secant_coefficient(nl: Nonlinearity, q1, q2) -> np.ndarray:
-    """Segment average of the Jacobian, int_0^1 DA(theta*q2 + (1-theta)*q1) dtheta.
-
-    For a componentwise flux this average is exactly the difference
-    quotient (A(q2) - A(q1)) / (q2 - q1), so no quadrature is involved
-    and the [lam, 1] eigenvalue confinement carries over up to rounding.
-    Where the endpoints nearly coincide the quotient would cancel
-    catastrophically; those entries fall back to DA at the midpoint,
-    keeping the result within about 1e-10 of the exact average.
-    Returns the diagonal entries at the broadcast shape of q1 and q2.
-    """
-    q1 = np.asarray(q1, dtype=np.float64)
-    q2 = np.asarray(q2, dtype=np.float64)
-    if not (np.all(np.isfinite(q1)) and np.all(np.isfinite(q2))):
-        raise ValueError("secant_coefficient needs finite arguments")
-    q1, q2 = np.broadcast_arrays(q1, q2)
-    dq = q2 - q1
-    near = np.abs(dq) <= 1e-6 * np.maximum(np.maximum(np.abs(q1), np.abs(q2)), 1.0)
-    quot = (nl.a(q2) - nl.a(q1)) / np.where(near, 1.0, dq)
-    return np.where(near, nl.da(0.5 * (q1 + q2)), quot)
-
-
 @dataclass
 class EllipticityReport:
     """Sampled verdict on the ellipticity and Lipschitz declarations."""

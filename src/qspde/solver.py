@@ -14,23 +14,26 @@ normalized to one, so the bound carries no nonlinearity constant).
 
 One kernel, _FluxMarch, does every step.  It marches a batch of slabs
 shaped (B,) + grid with slice differences into buffers allocated once
-per march; grad v is averaged onto faces once per spectral block.
-solve marches B = 1, contraction_test marches its pair as B = 2 with a
-hook that sums the dissipation, and flux_divergence and step are thin
-B = 1 wrappers.  Every output equals, bit for bit, that of the np.roll
+per march; grad v is evaluated once per row, in spectral blocks, and
+averaged onto faces once per block.  solve marches B = 1 and
+contraction_test marches its pair as B = 2 with a hook that sums the
+dissipation.  Every output equals, bit for bit, that of the np.roll
 formulation which tests/test_solver.py keeps as the oracle.
+
+The built-in nonlinearities act componentwise, so the flux through a
+face normal to axis a needs only component a of the argument.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .nonlinearity import Nonlinearity
-from .spectral_noise import NoisePath, _grad_slabs, _spectral_slabs
+from .spectral_noise import _BLOCK, NoisePath, _spectral_slabs
 
 # j_source sentinel: wire j = -grad v, so the full right-hand side of the
 # reconstructed equation matches the linear one driving v.  The divergence
@@ -110,12 +113,6 @@ class Trajectory:
         return self.w.ndim - 1
 
 
-def _check_grid(name, arr, d, n_x):
-    want = (d,) + (n_x,) * d
-    if arr.shape != want:
-        raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
-
-
 def _layers(d, n_x, a):
     """Index tuples (head, tail, first, last) along grid axis a of d.
 
@@ -149,13 +146,13 @@ def _face_average(field, d, out):
     return out
 
 
-def _faces(name, field, d, n_x):
-    """Validated copy of a (d,) + grid field averaged onto faces, or None."""
-    if field is None:
-        return None
-    field = np.asarray(field, dtype=np.float64)
-    _check_grid(name, field, d, n_x)
-    return _face_average(field, d, np.empty_like(field))
+def _faces(j, d, n_x):
+    """Validated copy of a user j, shape (d,) + grid, averaged onto faces."""
+    j = np.asarray(j, dtype=np.float64)
+    want = (d,) + (n_x,) * d
+    if j.shape != want:
+        raise ValueError(f"j has shape {j.shape}, expected {want}")
+    return _face_average(j, d, np.empty_like(j))
 
 
 class _FluxMarch:
@@ -228,46 +225,6 @@ class _FluxMarch:
         return means
 
 
-def flux_divergence(w, grad_v=None, j=None, nl: Nonlinearity = None) -> np.ndarray:
-    """Conservative divergence of the face flux A(grad w + grad v) + j.
-
-    w is a single slab, shape (n_x,)*d on the unit torus; grad_v and j,
-    when given, carry a leading component axis, shape (d,) + w.shape.
-    grad w is formed by forward differences to faces, grad_v and j are
-    averaged onto faces, and the divergence is the backward difference,
-    so the spatial sum of the output telescopes to zero.
-
-    The built-in nonlinearities act componentwise, so the flux through
-    a face normal to axis a needs only component a of the argument.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    d = w.ndim
-    n_x = w.shape[0]
-    if w.shape != (n_x,) * d:
-        raise ValueError(f"w must be square, got shape {w.shape}")
-    gvf = _faces("grad_v", grad_v, d, n_x)
-    jf = _faces("j", j, d, n_x)
-    return _FluxMarch(d, n_x, nl, 1).divergence(w[None], gvf, jf)[0]
-
-
-def step(w, t, cfg: SolverConfig, grad_v=None, j=None, source=None) -> np.ndarray:
-    """One explicit Euler update w + dt*(flux divergence + source).
-
-    source, when given, is an extra divergence-form forcing slab added
-    to the right-hand side (used for the spectrally evaluated div j of
-    the grad_v_negated wiring).  A non-finite result aborts with the
-    first offending node named.
-    """
-    out = np.array(w, dtype=np.float64)[None]
-    grid = (cfg.n_x,) * cfg.d
-    if out.shape[1:] != grid:
-        raise ValueError(f"w has shape {out.shape[1:]}, expected {grid}")
-    gvf = _faces("grad_v", grad_v, cfg.d, cfg.n_x)
-    jf = _faces("j", j, cfg.d, cfg.n_x)
-    _FluxMarch(cfg.d, cfg.n_x, cfg.nl, 1).advance(out, t, cfg.dt, gvf, jf, source)
-    return out[0]
-
-
 def _noise_alignment(cfg: SolverConfig, noise: NoisePath) -> int:
     """Stride of the noise grid under the solver grid; noise must refine it."""
     if noise.spec.d != cfg.d:
@@ -292,38 +249,6 @@ def _noise_alignment(cfg: SolverConfig, noise: NoisePath) -> int:
     return ratio
 
 
-class _SlabStream:
-    """Batched spectral evaluation of face-averaged grad v (and div j) rows."""
-
-    def __init__(self, noise: NoisePath, rows, n_x, need_source, block=2048):
-        self.noise = noise
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.n_x = n_x
-        self.need_source = need_source
-        self.block = int(block)
-        # div j for j = -grad v is -laplacian(v): mode weight +|k|^2
-        self._ws = noise.modes.ksq.astype(np.complex128)
-        self._lo = 0
-        self._gv = None
-        self._src = None
-
-    def fetch(self, i):
-        # i indexes self.rows; refill the block buffer on demand
-        if self._gv is None or not (self._lo <= i < self._lo + self._gv.shape[0]):
-            self._lo = (i // self.block) * self.block
-            hi = min(self._lo + self.block, self.rows.size)
-            sel = self.rows[self._lo:hi]
-            coeffs = self.noise.coeffs[sel]
-            modes = self.noise.modes
-            gv = _grad_slabs(modes, coeffs, self.n_x)
-            self._gv = _face_average(gv, modes.d, gv)
-            if self.need_source:
-                self._src = _spectral_slabs(modes, coeffs, self.n_x, self._ws)
-        k = i - self._lo
-        src = self._src[k] if self.need_source else None
-        return self._gv[k], src
-
-
 def _resolve_j(j_source: JSource, cfg: SolverConfig):
     """Split j_source into (spectral source flag, t -> j on faces or None)."""
     if j_source is None:
@@ -333,9 +258,37 @@ def _resolve_j(j_source: JSource, cfg: SolverConfig):
             raise ValueError(f"unknown j_source {j_source!r}")
         return True, None
     if callable(j_source):
-        return False, lambda t: _faces("j", j_source(t), cfg.d, cfg.n_x)
-    jf = _faces("j", j_source, cfg.d, cfg.n_x)
+        return False, lambda t: _faces(j_source(t), cfg.d, cfg.n_x)
+    jf = _faces(j_source, cfg.d, cfg.n_x)
     return False, lambda t: jf
+
+
+def _forcing(cfg: SolverConfig, noise: NoisePath, ratio, j_source, grad_v_out=None, save_every=1):
+    """Yield (t, grad v on faces, j on faces, div j source) for each step.
+
+    Step i reads noise row i*ratio.  grad v (and div j for the
+    grad_v_negated wiring) is evaluated _BLOCK steps at a time and
+    averaged onto faces once per block; when grad_v_out is given, the raw
+    grad v of every save_every-th step i is first copied into its row
+    i // save_every.
+    """
+    spectral_j, j_faces = _resolve_j(j_source, cfg)
+    d = cfg.d
+    parts = tuple(range(d)) + (("div_j",) if spectral_j else ())
+    for lo in range(0, cfg.n_steps, _BLOCK):
+        hi = min(lo + _BLOCK, cfg.n_steps)
+        coeffs = noise.coeffs[lo * ratio : hi * ratio : ratio]
+        block = _spectral_slabs(noise.modes, coeffs, cfg.n_x, parts)
+        gv = block[:, :d]
+        if grad_v_out is not None:
+            first = -(-lo // save_every) * save_every  # first save step in the block
+            kept = gv[first - lo :: save_every]
+            grad_v_out[first // save_every : first // save_every + kept.shape[0]] = kept
+        _face_average(gv, d, gv)
+        for i, row in enumerate(block, lo):
+            t = i * cfg.dt
+            jf = j_faces(t) if j_faces is not None else None
+            yield t, row[:d], jf, (row[d] if spectral_j else None)
 
 
 def solve(
@@ -343,7 +296,6 @@ def solve(
     noise: NoisePath,
     j_source: JSource = None,
     save_every: int = 1,
-    block: int = 2048,
 ) -> Trajectory:
     """March w from rest at 0 to t_end and record every save_every-th slab.
 
@@ -358,35 +310,30 @@ def solve(
     n_steps = cfg.n_steps
     if save_every < 1 or n_steps % save_every:
         raise ValueError("save_every must be >= 1 and divide the step count")
-    spectral_j, j_faces = _resolve_j(j_source, cfg)
 
-    rows = np.arange(n_steps + 1, dtype=np.int64) * ratio
-    stream = _SlabStream(noise, rows, cfg.n_x, spectral_j, block)
-    march = _FluxMarch(cfg.d, cfg.n_x, cfg.nl, 1)
-
+    save_rows = np.arange(0, n_steps + 1, save_every) * ratio
     grid = (cfg.n_x,) * cfg.d
+    grad_v = np.empty((save_rows.size, cfg.d) + grid)
+    march = _FluxMarch(cfg.d, cfg.n_x, cfg.nl, 1)
     w = np.zeros((1,) + grid)
-    saves = np.empty((n_steps // save_every + 1,) + grid)
+    saves = np.empty((save_rows.size,) + grid)
     saves[0] = w[0]
     max_mean = 0.0
-    for i in range(n_steps):
-        t = i * cfg.dt
-        gvf, src = stream.fetch(i)
-        jf = j_faces(t) if j_faces is not None else None
+    steps = _forcing(cfg, noise, ratio, j_source, grad_v, save_every)
+    for i, (t, gvf, jf, src) in enumerate(steps):
         (mean,) = march.advance(w, t, cfg.dt, gvf, jf, src)
         max_mean = max(max_mean, abs(mean))
         if (i + 1) % save_every == 0:
             saves[(i + 1) // save_every] = w[0]
-    # the last block's views keep it alive; drop it before the peak below
-    stream = gvf = src = None
+    # the last block's views keep it alive; drop them before v is evaluated
+    gvf = src = None
 
-    save_rows = rows[::save_every]
-    times = np.asarray(noise.times)[save_rows]
-    coeffs = noise.coeffs[save_rows]
-    v = _spectral_slabs(noise.modes, coeffs, cfg.n_x, None)
-    grad_v = _grad_slabs(noise.modes, coeffs, cfg.n_x)
+    # the march never reads the last row, so only its grad v is left
+    _spectral_slabs(noise.modes, noise.coeffs[save_rows[-1:]], cfg.n_x, range(cfg.d), grad_v[-1:])
+    v = np.empty((save_rows.size,) + grid)
+    _spectral_slabs(noise.modes, noise.coeffs[save_rows], cfg.n_x, ("v",), v[:, None])
     return Trajectory(
-        times=times,
+        times=np.asarray(noise.times)[save_rows],
         w=saves,
         v=v,
         grad_v=grad_v,
@@ -430,8 +377,6 @@ def contraction_test(
     j_source: JSource = None,
     epsilon: float = 1e-3,
     seed: int = 0,
-    nl: Optional[Nonlinearity] = None,
-    block: int = 2048,
 ) -> ContractionReport:
     """Contraction of two solves split by a mean-zero initial perturbation.
 
@@ -445,14 +390,9 @@ def contraction_test(
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    if nl is None:
-        nl = cfg.nl
     ratio = _noise_alignment(cfg, noise)
     n_steps = cfg.n_steps
-    spectral_j, j_faces = _resolve_j(j_source, cfg)
-    rows = np.arange(n_steps + 1, dtype=np.int64) * ratio
-    stream = _SlabStream(noise, rows, cfg.n_x, spectral_j, block)
-    march = _FluxMarch(cfg.d, cfg.n_x, nl, 2)
+    march = _FluxMarch(cfg.d, cfg.n_x, cfg.nl, 2)
 
     grid = (cfg.n_x,) * cfg.d
     cell = cfg.dx**cfg.d
@@ -477,10 +417,7 @@ def contraction_test(
         # sum over the faces normal to one axis of (G1-G2).(A(G1+gv)-A(G2+gv))
         dissipation[i] += float(np.sum((g[0] - g[1]) * (f[0] - f[1]))) * cell
 
-    for i in range(n_steps):
-        t = i * cfg.dt
-        gvf, src = stream.fetch(i)
-        jf = j_faces(t) if j_faces is not None else None
+    for i, (t, gvf, jf, src) in enumerate(_forcing(cfg, noise, ratio, j_source)):
         means = march.advance(w, t, cfg.dt, gvf, jf, src, dissipate)
         distances[i + 1] = l2(w[0], w[1])
         drift = max(drift, *(abs(m - m0) for m, m0 in zip(means, mean0)))

@@ -231,28 +231,18 @@ def _stream_key(root_seed: int) -> np.ndarray:
     return np.random.SeedSequence(root_seed).generate_state(2, np.uint64)
 
 
-def mode_stream(root_seed: int, realization: int, mode_index: int) -> np.random.Generator:
-    """Counter-based stream for one (realization, mode) pair, built fresh.
+def _mode_streams(root_seed: int, realization: int):
+    """stream(mode_index) -> Generator for one (realization, mode) pair.
 
     The Philox key derives from the root seed only; the counter words are
     [draw, 0, realization, mode_index], so distinct pairs can never
-    overlap no matter how many values each stream consumes.  The samplers
-    draw the same values through _mode_streams without rebuilding the
-    generator; this function is the reference they are tested against.
-    """
-    bitgen = np.random.Philox(counter=[0, 0, realization, mode_index], key=_stream_key(root_seed))
-    return np.random.Generator(bitgen)
-
-
-def _mode_streams(root_seed: int, realization: int):
-    """stream(mode_index) -> Generator, bitwise equal to mode_stream's.
-
-    One Philox and one Generator serve every mode of a sampling call.  A
-    Philox stream is fully determined by its key and its counter, so
-    restoring the whole fresh state (counter [0, 0, realization, mode],
-    empty buffer, no cached uint32) gives the draws of a new generator.
-    The returned Generator is shared: take a mode's draws before asking
-    for the next mode.
+    overlap no matter how many values each stream consumes.  One Philox
+    and one Generator serve every mode of a sampling call: a Philox
+    stream is fully determined by its key and its counter, so restoring
+    the whole fresh state (counter [0, 0, realization, mode], empty
+    buffer, no cached uint32) gives the draws of a new generator.  The
+    returned Generator is shared: take a mode's draws before asking for
+    the next mode.
     """
     bitgen = np.random.Philox(counter=[0, 0, realization, 0], key=_stream_key(root_seed))
     fresh = bitgen.state
@@ -324,6 +314,8 @@ class NoisePath:
 
 # rows of normals drawn and filtered at a time on the uniform-grid path
 _CHUNK = 8192
+# rows of grad v (and div j) evaluated at a time for a march
+_BLOCK = 2048
 
 
 def sample_mode_states(
@@ -343,11 +335,11 @@ def sample_mode_states(
     of _CHUNK rows, so only one block of normals is held at a time; any
     other grid takes the vectorised exact-step loop.
 
-    Each representative mode draws its normals from
-    mode_stream(seed, realization, mode index), two per grid time (the
-    first pair drives the transition from rest into times[0]); the index
-    is the mode's position in the full lexicographic order, so the
-    assignment is stable under any kmax.
+    Each representative mode draws its normals from a Philox stream keyed
+    by the seed with counter [draw, 0, realization, mode index], two per
+    grid time (the first pair drives the transition from rest into
+    times[0]); the index is the mode's position in the full lexicographic
+    order, so the assignment is stable under any kmax.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
@@ -413,31 +405,42 @@ def _to_complex(z, ksq):
 # field evaluation and the closed-form covariance
 
 
-def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, weight=None) -> np.ndarray:
-    """Inverse-FFT evaluation of sum_k w_k X_k(t) e^{ikx} on the n_x grid."""
+def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, parts, out=None) -> np.ndarray:
+    """Inverse-FFT evaluation of sum_k w_k X_k(t) e^{ikx} on the n_x grid.
+
+    Each part names one component and its mode weight w_k: "v" is v
+    itself (the coefficients unscaled, so their signed zeros reach the
+    transform unchanged), an axis a is d_a v (i*k_a), and "div_j" is the
+    divergence of the wiring j = -grad v, that is -laplacian v (|k|^2).
+    Component c is written into out[:, c], a real (n_t, len(parts)) +
+    grid array allocated here unless given; one complex buffer is
+    transformed in place per component.
+    """
     if n_x < 2 * modes.kmax + 2:
         raise ValueError(f"n_x={n_x} aliases modes; need n_x >= {2 * modes.kmax + 2}")
     d = modes.d
     n_t = coeffs.shape[0]
-    idx = np.ravel_multi_index(tuple((modes.m % n_x).T), (n_x,) * d)
-    buf = np.zeros((n_t, n_x**d), dtype=np.complex128)
-    buf[:, idx] = coeffs * weight if weight is not None else coeffs
-    out = np.fft.ifftn(buf.reshape((n_t,) + (n_x,) * d), axes=tuple(range(1, d + 1)))
-    del buf
-    out *= float(n_x**d)
-    residue = float(np.max(np.abs(out.imag))) if out.size else 0.0
-    if residue > 1e-10:
-        raise FloatingPointError(f"imaginary residue {residue:.3e} exceeds 1e-10")
-    # a copy, not the strided .real view that would keep the complex array alive
-    return out.real.copy()
-
-
-def _grad_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int) -> np.ndarray:
-    """grad v rows, shape (n_t, d) + grid; component a has mode weight i*k_a."""
-    return np.stack(
-        [_spectral_slabs(modes, coeffs, n_x, 1j * modes.k[:, a]) for a in range(modes.d)],
-        axis=1,
-    )
+    grid = (n_x,) * d
+    if out is None:
+        out = np.empty((n_t, len(parts)) + grid)
+    idx = np.ravel_multi_index(tuple((modes.m % n_x).T), grid)
+    buf = np.empty((n_t,) + grid, dtype=np.complex128)
+    for c, part in enumerate(parts):
+        if part == "v":
+            weighted = coeffs
+        elif part == "div_j":
+            weighted = coeffs * modes.ksq.astype(np.complex128)
+        else:
+            weighted = coeffs * (1j * modes.k[:, part])
+        buf.fill(0.0)
+        buf.reshape(n_t, -1)[:, idx] = weighted
+        np.fft.ifftn(buf, axes=tuple(range(1, d + 1)), out=buf)
+        buf *= float(n_x**d)
+        residue = float(np.max(np.abs(buf.imag))) if buf.size else 0.0
+        if residue > 1e-10:
+            raise FloatingPointError(f"imaginary residue {residue:.3e} exceeds 1e-10")
+        out[:, c] = buf.real
+    return out
 
 
 def evaluate_field(path: NoisePath, n_x: int, mode="value") -> Field:
@@ -448,16 +451,15 @@ def evaluate_field(path: NoisePath, n_x: int, mode="value") -> Field:
     n_x >= 2*kmax + 2 so retained modes occupy distinct FFT bins.
     """
     if mode == "value":
-        weight = None
+        part = "v"
     elif isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "gradient":
-        axis = int(mode[1])
-        if not 0 <= axis < path.modes.d:
-            raise ValueError(f"gradient axis {axis} out of range for d={path.modes.d}")
-        weight = 1j * path.modes.k[:, axis]
+        part = int(mode[1])
+        if not 0 <= part < path.modes.d:
+            raise ValueError(f"gradient axis {part} out of range for d={path.modes.d}")
     else:
         raise ValueError(f"unknown evaluation mode {mode!r}")
     dt = path.dt  # raises on non-uniform grids
-    values = _spectral_slabs(path.modes, path.coeffs, n_x, weight)
+    values = _spectral_slabs(path.modes, path.coeffs, n_x, (part,))[:, 0]
     return Field(values, dt=dt, t_start=float(path.times[0]))
 
 

@@ -1,4 +1,5 @@
-"""The demos and the README quickstart import only names qspde still has.
+"""The demos and the README quickstart import only names qspde still has,
+and qspde.__all__ lists exactly the names the package exports.
 
 Running the four demos takes tens of seconds, so these tests only parse
 them: every `from qspde... import name` must resolve to an attribute of
@@ -10,8 +11,11 @@ import ast
 import importlib
 import pathlib
 import re
+import types
 
 import pytest
+
+import qspde
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -51,3 +55,14 @@ def test_readme_quickstart_imports_resolve():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert blocks
     _check("\n".join(blocks), "README.md")
+
+
+def test_all_is_exactly_the_public_attributes():
+    # a fold that leaves a stale export, or an import that is never exported
+    public = {
+        name
+        for name, value in vars(qspde).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(qspde.__all__) == len(set(qspde.__all__))
+    assert set(qspde.__all__) == public

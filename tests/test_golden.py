@@ -110,22 +110,28 @@ def _solver_case(d, kmax, n_x, dt, t_end, seed):
     return cfg, path
 
 
+_GRAD_V_D1 = "450cb4e6f84cef2fc5e2e0d8bfbcf44d6ee0450bb7278cedb6afb52b2269e865"
+_GRAD_V_D2 = "825be1f4f285e1fc20aa194c167e1c3f7699ded2047a5cb4e0f8554b010c4cfe"
+
+
 @pytest.mark.parametrize(
-    "d, j_source, expected",
+    "d, j_source, expected, grad_v",
     [
-        (1, None, "b74080340018bd71ce4769ad0dca14711454c64136c2cc870d0ccbde6f1ab531"),
-        (1, GRAD_V_NEGATED, "99fd64205c7762f5a6b2c61766ef190d5e2396044e464ae46095a3de45a813a6"),
-        (2, GRAD_V_NEGATED, "fce7a389151a7a033056969de39b4b83540d46d6899807a0823ca5c64d20f5e8"),
+        (1, None, "b74080340018bd71ce4769ad0dca14711454c64136c2cc870d0ccbde6f1ab531", _GRAD_V_D1),
+        (1, GRAD_V_NEGATED, "99fd64205c7762f5a6b2c61766ef190d5e2396044e464ae46095a3de45a813a6", _GRAD_V_D1),
+        (2, GRAD_V_NEGATED, "fce7a389151a7a033056969de39b4b83540d46d6899807a0823ca5c64d20f5e8", _GRAD_V_D2),
     ],
     ids=["d1_unforced", "d1_grad_v_negated", "d2_grad_v_negated"],
 )
-def test_golden_solve(d, j_source, expected):
+def test_golden_solve(d, j_source, expected, grad_v):
+    # grad_v is the same noise with or without j, so the d = 1 cases share it
     if d == 1:
         cfg, path = _solver_case(1, 7, 16, 2.0**-10, 0.125, seed=2017)
     else:
         cfg, path = _solver_case(2, 3, 8, 2.0**-9, 0.0625, seed=2017)
     traj = solve(cfg, path, j_source, save_every=8)
     assert _digest_real(traj.w, traj.v) == expected
+    assert _digest_real(traj.grad_v) == grad_v
 
 
 @pytest.mark.parametrize(

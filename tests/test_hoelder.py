@@ -12,7 +12,6 @@ from qspde.hoelder import (
     C2_EQUIVALENCE,
     c1alpha_seminorm,
     centered_gradient,
-    parabolic_distance,
     seminorm_dyadic,
     seminorm_naive,
 )
@@ -21,6 +20,23 @@ from qspde.spectral_noise import Field
 
 def random_field(rng, n_t, n_x, d, dt):
     return Field(rng.standard_normal((n_t,) + (n_x,) * d), dt=dt)
+
+
+def parabolic_distance(z, z_prime) -> float:
+    """sqrt(|t-t'|) + |x-x'| with minimal-image periodic Euclidean |x-x'|.
+
+    Points are (t, x) with x a scalar or length-d sequence; coordinates
+    live on the unit torus per axis.
+    """
+    t, x = z
+    t2, x2 = z_prime
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x2 = np.atleast_1d(np.asarray(x2, dtype=np.float64))
+    if x.shape != x2.shape:
+        raise ValueError("spatial coordinates differ in dimension")
+    delta = np.abs(x - x2) % 1.0
+    delta = np.minimum(delta, 1.0 - delta)
+    return float(np.sqrt(abs(t - t2)) + np.sqrt(np.sum(delta * delta)))
 
 
 # ---------------------------------------------------------------------------

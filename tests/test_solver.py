@@ -1,9 +1,12 @@
 """Flux-form solver tests: exact identities, a nodal recursion oracle,
 conservation, and contraction behaviour."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from qspde import solver
 from qspde.nonlinearity import Nonlinearity, builtin
 from qspde.solver import (
     GRAD_V_NEGATED,
@@ -11,9 +14,7 @@ from qspde.solver import (
     _face_average,
     _FluxMarch,
     contraction_test,
-    flux_divergence,
     solve,
-    step,
 )
 from qspde.spectral_noise import (
     CovarianceSpec,
@@ -39,6 +40,30 @@ def zero_path(d, s, kmax, dt, n_rows):
     times = np.arange(n_rows + 1) * dt
     coeffs = np.zeros((n_rows + 1, len(modes)), complex)
     return NoisePath(spec=spec, modes=modes, times=times, coeffs=coeffs, seed=0)
+
+
+def _on_faces(field, d):
+    return None if field is None else _face_average(field, d, np.empty_like(field))
+
+
+def flux_divergence(w, grad_v=None, j=None, nl=IDENT):
+    """One B = 1 divergence of the march kernel on a single slab w.
+
+    grad_v and j, shape (d,) + w.shape, are averaged onto faces first, as
+    solve does; the flux is A(grad w + grad v) + j.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    d, n_x = w.ndim, w.shape[0]
+    march = _FluxMarch(d, n_x, nl, 1)
+    return march.divergence(w[None], _on_faces(grad_v, d), _on_faces(j, d))[0]
+
+
+def step(w, t, cfg, grad_v=None, j=None, source=None):
+    """One B = 1 explicit Euler update w + dt*(flux divergence + source)."""
+    out = np.array(w, dtype=np.float64)[None]
+    gvf, jf = _on_faces(grad_v, cfg.d), _on_faces(j, cfg.d)
+    _FluxMarch(cfg.d, cfg.n_x, cfg.nl, 1).advance(out, t, cfg.dt, gvf, jf, source)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +109,14 @@ def test_discrete_symbol_second_order_accurate():
 
 
 def test_divergence_shape_validation():
-    with pytest.raises(ValueError):
-        flux_divergence(np.zeros((4, 8)), nl=IDENT)
-    with pytest.raises(ValueError):
-        flux_divergence(np.zeros(8), grad_v=np.zeros((2, 8)), nl=IDENT)
-    with pytest.raises(ValueError):
-        flux_divergence(np.zeros(8), j=np.zeros((1, 4)), nl=IDENT)
+    cfg = SolverConfig(d=1, n_x=8, dt=2.0**-8, t_end=0.25, nl=IDENT)
+    path = zero_path(1, 2.0, 3, 2.0**-8, 64)
+    with pytest.raises(ValueError, match="j has shape"):
+        solve(cfg, path, j_source=np.zeros((2, 8)))
+    with pytest.raises(ValueError, match="j has shape"):
+        solve(cfg, path, j_source=np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="j has shape"):
+        solve(cfg, path, j_source=lambda t: np.zeros((1, 4)))
 
 
 def _roll_divergence(w, grad_v, j, nl):
@@ -263,7 +290,7 @@ def test_zero_noise_solve_stays_zero():
 def test_spectral_slabs_are_contiguous_real_copies():
     # a strided .real view would keep the complex transform alive
     path = uniform_path(2, 3.0, 3, 2.0**-9, 16, seed=1)
-    v = _spectral_slabs(path.modes, path.coeffs, 8)
+    v = _spectral_slabs(path.modes, path.coeffs, 8, ("v",))
     assert v.base is None and v.flags.c_contiguous and v.dtype == np.float64
     cfg = SolverConfig(d=2, n_x=8, dt=2.0**-9, t_end=2.0**-5, nl=TANH)
     traj = solve(cfg, path, save_every=2)
@@ -302,6 +329,34 @@ def test_nodal_recursion_matches_independent_oracle():
         assert np.allclose(traj.grad_v[n, 0], gv, atol=1e-13)
     v_last = np.real(path.coeffs[n_steps] @ phases)
     assert np.allclose(traj.v[-1], v_last, atol=1e-13)
+    # the rows kept from the march are those of one evaluation of the path
+    once = _spectral_slabs(path.modes, path.coeffs, n_x, range(1))
+    assert traj.grad_v.tobytes() == once.tobytes()
+
+
+@pytest.mark.parametrize("d, save_every, block", [(1, 1, 2048), (1, 8, 2048), (1, 8, 5), (2, 4, 7)])
+def test_solve_evaluates_each_grad_v_row_once(monkeypatch, d, save_every, block):
+    # the march evaluates rows 0..n_steps-1 and keeps the save rows; only
+    # row n_steps is left for the end, so n_steps + 1 rows in all, not
+    # n_steps + n_saves; a small block puts save rows across its edges
+    n_x, kmax, dt, n_steps = 8, 3, 2.0**-10, 64
+    path = uniform_path(d, 2.0 if d == 1 else 3.0, kmax, dt, n_steps, seed=41)
+    cfg = SolverConfig(d=d, n_x=n_x, dt=dt, t_end=n_steps * dt, nl=TANH)
+    once = _spectral_slabs(path.modes, path.coeffs[::save_every], n_x, range(d))
+
+    rows = []
+
+    def counting(modes, coeffs, n_x, parts, out=None):
+        axes = [p for p in parts if p not in ("v", "div_j")]
+        assert axes in ([], list(range(d)))
+        rows.append(coeffs.shape[0] if axes else 0)
+        return _spectral_slabs(modes, coeffs, n_x, parts, out)
+
+    monkeypatch.setattr(solver, "_spectral_slabs", counting)
+    monkeypatch.setattr(solver, "_BLOCK", block)
+    traj = solve(cfg, path, j_source=GRAD_V_NEGATED, save_every=save_every)
+    assert sum(rows) == n_steps + 1
+    assert traj.grad_v.tobytes() == once.tobytes()
 
 
 def test_mean_conserved_under_tanh_flux():
@@ -397,7 +452,7 @@ def test_contraction_divergence_names_copy_and_node():
     path = zero_path(1, 2.0, 1, 2.0**-10, 128)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         with pytest.raises(FloatingPointError) as exc:
-            contraction_test(cfg, path, epsilon=1e-3, seed=4, nl=blow)
+            contraction_test(dataclasses.replace(cfg, nl=blow), path, epsilon=1e-3, seed=4)
     msg = str(exc.value)
     assert "non-finite" in msg and "t=0," in msg and "copy 1" in msg and "node (" in msg
 

@@ -12,11 +12,11 @@ from qspde.spectral_noise import (
     ModeSet,
     NoisePath,
     _mode_streams,
+    _stream_key,
     choose_kmax,
     covariance_closed_form,
     evaluate_field,
     make_mode_set,
-    mode_stream,
     read_qspd,
     sample_mode_states,
     step_moments,
@@ -257,6 +257,19 @@ def test_strided_sampler_d2(monkeypatch):
     monkeypatch.setattr(spectral_noise, "_CHUNK", 5)
     blocked = sample_mode_states(spec, times, seed=9)
     assert blocked.coeffs.tobytes() == full.coeffs.tobytes()
+
+
+def mode_stream(root_seed: int, realization: int, mode_index: int) -> np.random.Generator:
+    """Counter-based stream for one (realization, mode) pair, built fresh.
+
+    The Philox key derives from the root seed only; the counter words are
+    [draw, 0, realization, mode_index], so distinct pairs can never
+    overlap no matter how many values each stream consumes.  The samplers
+    draw the same values through _mode_streams without rebuilding the
+    generator; this function is the reference they are tested against.
+    """
+    bitgen = np.random.Philox(counter=[0, 0, realization, mode_index], key=_stream_key(root_seed))
+    return np.random.Generator(bitgen)
 
 
 def test_mode_streams_are_distinct():
