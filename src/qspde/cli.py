@@ -203,16 +203,15 @@ def _cmd_norms(cfg: ExperimentConfig, args) -> dict:
         raise _CliError(1, "validation", [f"norms: run solve first; {exc}"])
     grad_w = centered_gradient(w)
     grad_v = centered_gradient(v)
+    wnorms = [c1alpha_seminorm(w, grad_w, alpha) for alpha in cfg.alphas]
+    grad_u = np.add(grad_w, grad_v, out=grad_w)  # grad_w is not read again
     rows = []
-    for alpha in cfg.alphas:
+    for alpha, wnorm in zip(cfg.alphas, wnorms):
         for a in range(w.d):
             gv = seminorm_dyadic(Field(grad_v[:, a], dt=v.dt, t_start=v.t_start), alpha)
-            gu = seminorm_dyadic(
-                Field(grad_w[:, a] + grad_v[:, a], dt=w.dt, t_start=w.t_start), alpha
-            )
+            gu = seminorm_dyadic(Field(grad_u[:, a], dt=w.dt, t_start=w.t_start), alpha)
             rows.append((f"grad_v[{a}]", gv))
             rows.append((f"grad_u[{a}]", gu))
-        wnorm = c1alpha_seminorm(w, grad_w, alpha)
         rows.append(
             (
                 "w_c1alpha",

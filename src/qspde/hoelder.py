@@ -233,8 +233,14 @@ def c1alpha_seminorm(w: Field, grad_w: np.ndarray, alpha: float) -> float:
 
     grad_w has shape (n_t, d) + grid (see centered_gradient).  The
     gradient part is the max over components of the dyadic estimate; the
-    temporal part is the exhaustive per-site sup of
+    temporal part is the per-site sup of
     |w(t,x)-w(t',x)| / |t-t'|^((1+alpha)/2) over all time pairs.
+
+    Lags are visited in increasing order, and a lag is skipped when
+    R / (lag*dt)^((1+alpha)/2) is at most the running sup, R being the
+    largest per-site range max_t w - min_t w.  Rounding is monotone, so
+    no rounded increment exceeds the rounded range R and a skipped lag
+    cannot raise the sup: the result is bitwise the exhaustive scan's.
     """
     if grad_w.shape != (w.n_t, w.d) + w.values.shape[1:]:
         raise ValueError("grad_w shape does not match the field grid")
@@ -244,8 +250,15 @@ def c1alpha_seminorm(w: Field, grad_w: np.ndarray, alpha: float) -> float:
         grad_part = max(grad_part, seminorm_dyadic(comp, alpha).theta)
     expo = (1.0 + alpha) / 2.0
     vals = w.values
+    R = float(np.ptp(vals, axis=0).max())
+    buf = np.empty_like(vals)
     temporal = 0.0
     for lag in range(1, w.n_t):
-        m = float(np.max(np.abs(vals[lag:] - vals[:-lag])))
-        temporal = max(temporal, m / (lag * w.dt) ** expo)
+        denom = (lag * w.dt) ** expo
+        # continue, not break: pow is not guaranteed monotone in lag
+        if R / denom <= temporal:
+            continue
+        diff = np.subtract(vals[lag:], vals[:-lag], out=buf[: w.n_t - lag])
+        m = float(np.abs(diff, out=diff).max())
+        temporal = max(temporal, m / denom)
     return grad_part + temporal

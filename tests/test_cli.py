@@ -297,6 +297,22 @@ def test_cli_solve_then_norms_thin_shell(tmp_path, capsys):
     assert len(lines) == 2 + 3
 
 
+def test_cli_norms_multi_alpha_rows_match_single_alpha_runs(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfgp = write_cfg(tmp_path, **SOLVE_OVERRIDES)
+    assert run_cli(capsys, ["solve", "--config", str(cfgp), "--out", str(out)])[0] == 0
+
+    def norms_rows(alpha):
+        p = write_cfg(tmp_path, name=f"norms_{alpha}.cfg", alpha=alpha, **SOLVE_OVERRIDES)
+        assert run_cli(capsys, ["norms", "--config", str(p), "--out", str(out)])[0] == 0
+        return (out / "norms.csv").read_text().splitlines()[2:]
+
+    both = norms_rows("0.2, 0.3")
+    assert len(both) == 2 * 3
+    assert both[:3] == norms_rows("0.2")
+    assert both[3:] == norms_rows("0.3")
+
+
 def test_cli_norms_without_solve_outputs(tmp_path, capsys):
     cfgp = write_cfg(tmp_path, **SOLVE_OVERRIDES)
     rc, err = run_cli(capsys, ["norms", "--config", str(cfgp), "--out", str(tmp_path / "empty")])

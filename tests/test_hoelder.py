@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qspde.hoelder as hoelder
 from qspde.hoelder import (
     C2_EQUIVALENCE,
     c1alpha_seminorm,
@@ -242,23 +243,97 @@ def test_centered_gradient_shape_d2():
     assert centered_gradient(f).shape == (3, 2, 8, 8)
 
 
+def _c1alpha_counting_lags(monkeypatch, f):
+    """c1alpha_seminorm(f, ., 0.3) and the number of lags it scanned."""
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def subtract(*args, **kwargs):
+            calls.append(1)
+            return np.subtract(*args, **kwargs)
+
+    monkeypatch.setattr(hoelder, "np", CountingNumpy())
+    value = c1alpha_seminorm(f, centered_gradient(f), 0.3)
+    monkeypatch.undo()
+    return value, len(calls)
+
+
 def test_c1alpha_zero_field():
     f = Field(np.zeros((5, 4)), dt=0.25)
     gw = centered_gradient(f)
     assert c1alpha_seminorm(f, gw, 0.3) == 0.0
 
 
-def test_c1alpha_linear_in_time_is_unit():
+def test_c1alpha_linear_in_time_is_unit(monkeypatch):
     times = np.arange(5) * 0.25
     vals = np.broadcast_to(times[:, None], (5, 4)).copy()
     f = Field(vals, dt=0.25)
-    gw = centered_gradient(f)
     # gradient part vanishes; temporal part peaks at the full window,
-    # |t - t'|^((1-alpha)/2) = 1 at |t - t'| = 1
-    assert c1alpha_seminorm(f, gw, 0.3) == 1.0
+    # |t - t'|^((1-alpha)/2) = 1 at |t - t'| = 1, so no lag may be skipped
+    value, lags = _c1alpha_counting_lags(monkeypatch, f)
+    assert value == 1.0
+    assert lags == 5 - 1
 
 
 def test_c1alpha_rejects_mismatched_gradient():
     f = Field(np.zeros((5, 4)), dt=0.25)
     with pytest.raises(ValueError):
         c1alpha_seminorm(f, np.zeros((5, 2, 4)), 0.3)
+
+
+def unpruned_c1alpha(w, grad_w, alpha):
+    """Exhaustive lag scan: the composite seminorm before lag pruning."""
+    grad_part = 0.0
+    for a in range(w.d):
+        comp = Field(grad_w[:, a], dt=w.dt, t_start=w.t_start)
+        grad_part = max(grad_part, seminorm_dyadic(comp, alpha).theta)
+    expo = (1.0 + alpha) / 2.0
+    vals = w.values
+    temporal = 0.0
+    for lag in range(1, w.n_t):
+        m = float(np.max(np.abs(vals[lag:] - vals[:-lag])))
+        temporal = max(temporal, m / (lag * w.dt) ** expo)
+    return grad_part + temporal
+
+
+def _oracle_fields():
+    rng = np.random.default_rng(17)
+    for d, n_x, n_t in ((1, 16, 65), (2, 8, 33), (3, 4, 17)):
+        for _ in range(3):
+            yield random_field(rng, n_t, n_x, d, dt=1 / 1024)
+            # a smooth trend plus noise, so that the pruning rule skips lags
+            trend = np.sin(np.linspace(0.0, 6.0, n_t)).reshape((n_t,) + (1,) * d)
+            yield Field(5.0 * trend + 0.1 * rng.standard_normal((n_t,) + (n_x,) * d), dt=1 / 1024)
+    yield Field(np.full((33, 8), -1.5), dt=1 / 1024)  # R = 0
+    signed = np.zeros((17, 8))
+    signed[::2, 1::2] = -0.0
+    signed[3, 4] = 1.0
+    yield Field(signed, dt=1 / 256)
+    for bad in (np.nan, np.inf):
+        vals = rng.standard_normal((33, 8))
+        vals[20, 3] = bad
+        yield Field(vals, dt=1 / 1024)
+    yield random_field(rng, 2, 8, 1, dt=1 / 64)  # n_t = 2
+    yield random_field(rng, 2, 4, 2, dt=1 / 16)
+
+
+def test_c1alpha_matches_unpruned_oracle():
+    for f in _oracle_fields():
+        gw = centered_gradient(f)
+        for alpha in (0.3, 0.7):
+            got = np.float64(c1alpha_seminorm(f, gw, alpha))
+            want = np.float64(unpruned_c1alpha(f, gw, alpha))
+            assert got.tobytes() == want.tobytes(), (f.values.shape, alpha, got, want)
+
+
+def test_c1alpha_prunes_saturated_lags(monkeypatch):
+    n_t = 257
+    times = np.arange(n_t) / 128
+    f = Field(np.broadcast_to(np.sin(2 * np.pi * times)[:, None], (n_t, 8)).copy(), dt=1 / 128)
+    value, lags = _c1alpha_counting_lags(monkeypatch, f)
+    assert lags < n_t - 1
+    assert value == unpruned_c1alpha(f, centered_gradient(f), 0.3)
