@@ -218,14 +218,63 @@ def seminorm_dyadic(f: Field, alpha: float) -> HoelderReport:
 
 
 def centered_gradient(f: Field) -> np.ndarray:
-    """Second-order periodic gradient of each slab, shape (n_t, d) + grid."""
-    comps = []
+    """Second-order periodic gradient of each slab, shape (n_t, d) + grid.
+
+    Component a is (f[i+1] - f[i-1]) / (2 dx) along spatial axis a with
+    periodic wrap, written slice by slice into one array; bitwise the
+    np.roll formula.
+    """
+    vals = f.values
+    n = f.n_x
+    grad = np.empty((f.n_t, f.d) + vals.shape[1:])
+
+    def at(i):
+        return (i % n, i % n + 1)
+
+    def cut(arr, axis, span):
+        return arr[(slice(None),) * axis + (slice(*span),)]
+
+    # (indices i, indices i+1, indices i-1): the interior, then i = 0 and i = n-1
+    pieces = (((1, n - 1), (2, n), (0, n - 2)), (at(0), at(1), at(-1)), (at(n - 1), at(n), at(n - 2)))
     for a in range(f.d):
-        comps.append(
-            (np.roll(f.values, -1, axis=1 + a) - np.roll(f.values, 1, axis=1 + a))
-            / (2.0 * f.dx)
-        )
-    return np.stack(comps, axis=1)
+        for rows, plus, minus in pieces:  # the interior is empty for n <= 2
+            # copy, then subtract in place: no temporary is made, and np.subtract
+            # stays one call per scanned lag of the temporal quotient (tests count it)
+            out = cut(grad[:, a], 1 + a, rows)
+            np.copyto(out, cut(vals, 1 + a, plus))
+            out -= cut(vals, 1 + a, minus)
+    grad /= 2.0 * f.dx
+    return grad
+
+
+# Sites per block when building the windowed-range table of c1alpha_seminorm;
+# bounds the table's scratch arrays independently of the grid size.
+_RANGE_BLOCK = 128
+
+
+def _windowed_ranges(series: np.ndarray) -> np.ndarray:
+    """Per-site bound table for the temporal quotient.
+
+    series is (sites, n_t), one time series per row.  Row k-1 of the
+    table holds, per site, the largest max - min over any 2^k consecutive
+    times (k = 1, 2, ... while 2^k <= n_t); the last row is the
+    whole-record range np.ptp, which covers lags beyond the last window.
+    A NaN sample makes every bound of its site NaN.
+    """
+    sites, n_t = series.shape
+    levels = max(n_t.bit_length() - 1, 0)  # largest k with 2^k <= n_t
+    table = np.empty((levels + 1, sites))
+    for c0 in range(0, sites, _RANGE_BLOCK):
+        cols = slice(c0, c0 + _RANGE_BLOCK)
+        block = series[cols]
+        mx = mn = block
+        for k in range(1, levels + 1):
+            h = 1 << (k - 1)
+            mx = np.maximum(mx[:, :-h], mx[:, h:])
+            mn = np.minimum(mn[:, :-h], mn[:, h:])
+            np.max(mx - mn, axis=1, out=table[k - 1, cols])
+        table[levels, cols] = np.ptp(block, axis=1)
+    return table
 
 
 def c1alpha_seminorm(w: Field, grad_w: np.ndarray, alpha: float) -> float:
@@ -236,11 +285,15 @@ def c1alpha_seminorm(w: Field, grad_w: np.ndarray, alpha: float) -> float:
     temporal part is the per-site sup of
     |w(t,x)-w(t',x)| / |t-t'|^((1+alpha)/2) over all time pairs.
 
-    Lags are visited in increasing order, and a lag is skipped when
-    R / (lag*dt)^((1+alpha)/2) is at most the running sup, R being the
-    largest per-site range max_t w - min_t w.  Rounding is monotone, so
-    no rounded increment exceeds the rounded range R and a skipped lag
-    cannot raise the sup: the result is bitwise the exhaustive scan's.
+    Lags are visited in increasing order, and a site is skipped at a lag
+    when B / (lag*dt)^((1+alpha)/2) is at most the running sup, B being
+    the site's largest max - min over any window of 2^k consecutive
+    times, 2^k the smallest window spanning the lag (the whole record's
+    range when no window does).  Both times of a pair lie in one such
+    window and rounding is monotone, so no rounded increment exceeds the
+    rounded bound and a skipped pair cannot raise the sup: the result is
+    bitwise the exhaustive scan's.  A NaN bound is never skipped, and a
+    lag whose every site is skipped costs no subtraction.
     """
     if grad_w.shape != (w.n_t, w.d) + w.values.shape[1:]:
         raise ValueError("grad_w shape does not match the field grid")
@@ -248,17 +301,39 @@ def c1alpha_seminorm(w: Field, grad_w: np.ndarray, alpha: float) -> float:
     for a in range(w.d):
         comp = Field(grad_w[:, a], dt=w.dt, t_start=w.t_start)
         grad_part = max(grad_part, seminorm_dyadic(comp, alpha).theta)
+    return grad_part + _temporal_sup(w, alpha)
+
+
+def _temporal_sup(w: Field, alpha: float) -> float:
+    """The temporal part of c1alpha_seminorm, pruned per site and lag."""
     expo = (1.0 + alpha) / 2.0
-    vals = w.values
-    R = float(np.ptp(vals, axis=0).max())
-    buf = np.empty_like(vals)
+    n_t = w.n_t
+    # one contiguous time series per site, so that gathering sites is cheap
+    series = np.ascontiguousarray(w.values.reshape(n_t, -1).T)
+    n_sites = series.shape[0]
+    bounds = _windowed_ranges(series)
+    widest = bounds.max(axis=1).tolist()  # per row; NaN if any bound is NaN
+    last = bounds.shape[0] - 1  # the whole-record row
+    buf = np.empty(series.size)
     temporal = 0.0
-    for lag in range(1, w.n_t):
+    for lag in range(1, n_t):
         denom = (lag * w.dt) ** expo
+        # row lag.bit_length() - 1 holds the smallest window spanning lag
+        row = min(lag.bit_length() - 1, last)
         # continue, not break: pow is not guaranteed monotone in lag
-        if R / denom <= temporal:
+        if widest[row] / denom <= temporal:
             continue
-        diff = np.subtract(vals[lag:], vals[:-lag], out=buf[: w.n_t - lag])
+        sites = np.flatnonzero(~(bounds[row] / denom <= temporal))
+        k, span = sites.size, n_t - lag
+        if k * (span + n_t) <= buf.size:
+            # gather into the tail of buf, clear of the differences; "clip"
+            # (the indices are in range) lets take write out unbuffered
+            rows = np.take(
+                series, sites, axis=0, out=buf[buf.size - k * n_t :].reshape(k, n_t), mode="clip"
+            )
+        else:
+            rows, k = series, n_sites  # scanning every site needs no second copy
+        diff = np.subtract(rows[:, lag:], rows[:, :-lag], out=buf[: k * span].reshape(k, span))
         m = float(np.abs(diff, out=diff).max())
         temporal = max(temporal, m / denom)
-    return grad_part + temporal
+    return temporal

@@ -81,7 +81,7 @@ def write_qspd(path, f: Field) -> None:
         fh.write(struct.pack(f"<{f.d}q", *f.values.shape[1:]))
         fh.write(struct.pack("<q", f.n_t))
         fh.write(struct.pack("<dd", f.dt, f.t_start))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8"))
 
 
 def read_qspd(path) -> Field:
@@ -99,9 +99,10 @@ def read_qspd(path) -> Field:
         (n_t,) = struct.unpack("<q", fh.read(8))
         dt, t_start = struct.unpack("<dd", fh.read(16))
         count = n_t * int(np.prod(shape))
-        payload = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
-        values = payload.reshape((n_t,) + shape).astype(np.float64)
-    return Field(values, dt=dt, t_start=t_start)
+        payload = np.fromfile(fh, dtype="<f8", count=count)
+    if payload.size != count:
+        raise ValueError(f"truncated QSPD payload: expected {count} float64 values, found {payload.size}")
+    return Field(payload.reshape((n_t,) + shape), dt=dt, t_start=t_start)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,9 @@ def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, parts, out=Non
         buf.reshape(n_t, -1)[:, idx] = weighted
         np.fft.ifftn(buf, axes=tuple(range(1, d + 1)), out=buf)
         buf *= float(n_x**d)
-        residue = float(np.max(np.abs(buf.imag))) if buf.size else 0.0
+        # |imag| goes into component c's slot of out, which buf.real then
+        # overwrites, so no full-size temporary is made
+        residue = float(np.abs(buf.imag, out=out[:, c]).max()) if buf.size else 0.0
         if residue > 1e-10:
             raise FloatingPointError(f"imaginary residue {residue:.3e} exceeds 1e-10")
         out[:, c] = buf.real

@@ -337,3 +337,134 @@ def test_c1alpha_prunes_saturated_lags(monkeypatch):
     value, lags = _c1alpha_counting_lags(monkeypatch, f)
     assert lags < n_t - 1
     assert value == unpruned_c1alpha(f, centered_gradient(f), 0.3)
+
+
+def exhaustive_temporal(w, alpha):
+    """The temporal part of the composite seminorm, every lag and site."""
+    expo = (1.0 + alpha) / 2.0
+    vals = w.values
+    temporal = 0.0
+    for lag in range(1, w.n_t):
+        m = float(np.max(np.abs(vals[lag:] - vals[:-lag])))
+        temporal = max(temporal, m / (lag * w.dt) ** expo)
+    return temporal
+
+
+def hot_site_field(rng, n_t, n_x, d, ramp=48):
+    """Smooth small sites plus one hot site whose value climbs late.
+
+    The hot site holds the largest range, so a bound shared by all sites
+    cannot skip a lag below the ramp length; only its own bound prunes
+    the smooth sites there.
+    """
+    t = np.arange(n_t) / (n_t - 1)
+    shape = (n_t,) + (n_x,) * d
+    smooth = 0.01 * np.sin(6 * np.pi * t).reshape((n_t,) + (1,) * d)
+    vals = smooth + 1e-3 * rng.standard_normal(shape)
+    climb = np.clip((np.arange(n_t) - (n_t - 1 - ramp)) / ramp, 0.0, 1.0)
+    vals.reshape(n_t, -1)[:, 5 % n_x**d] += 5.0 * climb
+    return Field(vals, dt=1 / max(n_t - 1, 1))
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_c1alpha_hot_site_matches_exhaustive():
+    rng = np.random.default_rng(23)
+    for d, n_x, n_t in ((1, 16, 257), (2, 8, 129), (3, 4, 65)):
+        f = hot_site_field(rng, n_t, n_x, d)
+        gw = centered_gradient(f)
+        for alpha in (0.3, 0.7):
+            got = c1alpha_seminorm(f, gw, alpha)
+            want = unpruned_c1alpha(f, gw, alpha)
+            assert _same_bits(got, want), (d, alpha, got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_c1alpha_hot_site_nonfinite_at_a_pruned_site(bad):
+    rng = np.random.default_rng(29)
+    for row in (0, 40, 128):
+        f = hot_site_field(rng, 129, 16, 1)
+        f.values[row, 2] = bad  # site 2 is smooth: its bound alone would prune it
+        gw = centered_gradient(f)
+        got = c1alpha_seminorm(f, gw, 0.3)
+        assert _same_bits(got, unpruned_c1alpha(f, gw, 0.3)), (bad, row, got)
+
+
+@pytest.mark.parametrize("n_t", [2, 3, 5, 6, 1000])
+def test_temporal_sup_short_and_long_records(n_t):
+    # lags beyond the widest window use the whole-record range
+    rng = np.random.default_rng(n_t)
+    fields = [
+        random_field(rng, n_t, 8, 1, dt=1 / 64),
+        Field(np.cumsum(rng.standard_normal((n_t, 4, 4)), axis=0), dt=1 / 64),
+    ]
+    if n_t > 2:
+        fields.append(hot_site_field(rng, n_t, 8, 1, ramp=max(n_t // 4, 1)))
+    for f in fields:
+        for alpha in (0.3, 0.7):
+            got = hoelder._temporal_sup(f, alpha)
+            assert _same_bits(got, exhaustive_temporal(f, alpha)), (n_t, alpha)
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 3, 5, 6, 17])
+def test_windowed_ranges_match_brute_force(n_t):
+    rng = np.random.default_rng(31)
+    series = rng.standard_normal((3, n_t))
+    table = hoelder._windowed_ranges(series)
+    k = 1
+    while 2**k <= n_t:
+        want = [max(np.ptp(s[i : i + 2**k]) for i in range(n_t - 2**k + 1)) for s in series]
+        assert table[k - 1].tolist() == want
+        k += 1
+    assert table.shape[0] == k
+    assert table[-1].tolist() == np.ptp(series, axis=1).tolist()
+
+
+def test_c1alpha_prunes_site_lag_pairs(monkeypatch):
+    f = hot_site_field(np.random.default_rng(37), 129, 8, 2)
+    sites, lags = f.values[0].size, f.n_t - 1
+    pairs = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def subtract(a, *args, **kwargs):
+            pairs.append(a.shape[0])  # one row per scanned site
+            return np.subtract(a, *args, **kwargs)
+
+    monkeypatch.setattr(hoelder, "np", CountingNumpy())
+    value = c1alpha_seminorm(f, centered_gradient(f), 0.3)
+    monkeypatch.undo()
+    assert _same_bits(value, unpruned_c1alpha(f, centered_gradient(f), 0.3))
+
+    # the lags a single bound shared by every site would scan
+    expo = 0.65
+    R = float(np.ptp(f.values, axis=0).max())
+    temporal, shared_lags = 0.0, 0
+    for lag in range(1, f.n_t):
+        if R / (lag * f.dt) ** expo <= temporal:
+            continue
+        shared_lags += 1
+        m = float(np.max(np.abs(f.values[lag:] - f.values[:-lag])))
+        temporal = max(temporal, m / (lag * f.dt) ** expo)
+    assert 10 * sum(pairs) < sites * lags
+    assert 4 * sum(pairs) < sites * shared_lags
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n_x", [2, 3, 8])
+def test_centered_gradient_matches_roll_formula(d, n_x):
+    rng = np.random.default_rng(10 * d + n_x)
+    f = Field(rng.standard_normal((4,) + (n_x,) * d), dt=0.1)
+    want = np.stack(
+        [
+            (np.roll(f.values, -1, axis=1 + a) - np.roll(f.values, 1, axis=1 + a)) / (2.0 * f.dx)
+            for a in range(d)
+        ],
+        axis=1,
+    )
+    assert centered_gradient(f).tobytes() == want.tobytes()

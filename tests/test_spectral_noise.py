@@ -1,6 +1,7 @@
 """Noise sampler tests: frozen oracles first, then laws and plumbing."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -392,6 +393,32 @@ def test_evaluate_reality_residue_guard():
         evaluate_field(path, 8)
 
 
+def _unpaired_residue(modes, coeffs, n_x):
+    """max |Im| of the d=1 inverse transform, computed without the package."""
+    buf = np.zeros((coeffs.shape[0], n_x), complex)
+    buf[:, modes.m[:, 0] % n_x] = coeffs
+    return float(np.max(np.abs(np.fft.ifft(buf, axis=1).imag * n_x)))
+
+
+@pytest.mark.parametrize("c", [0.5j, -0.5j, 0.25 - 0.7j])
+def test_residue_guard_reports_max_abs_imaginary_part(c):
+    modes = make_mode_set(1, 1)
+    coeffs = np.zeros((2, len(modes)), complex)
+    coeffs[1, 0] = c  # one unpaired mode: its imaginary part survives
+    with pytest.raises(FloatingPointError) as exc:
+        spectral_noise._spectral_slabs(modes, coeffs, 8, ["v"])
+    assert f"residue {_unpaired_residue(modes, coeffs, 8):.3e} " in str(exc.value)
+
+
+def test_residue_guard_lets_nan_through():
+    # a NaN residue compares false, so the guard does not fire
+    modes = make_mode_set(1, 1)
+    coeffs = np.zeros((1, len(modes)), complex)
+    coeffs[0, 0] = complex(np.nan, 1.0)
+    out = spectral_noise._spectral_slabs(modes, coeffs, 8, ["v"])
+    assert np.isnan(out).all()
+
+
 def test_evaluate_refined_grid_contains_coarse_nodes():
     spec = CovarianceSpec(1, 2.0, 3)
     path = sample_mode_states(spec, np.linspace(0, 1, 5), seed=13)
@@ -469,4 +496,37 @@ def test_qspd_rejects_wrong_magic(tmp_path):
     p = tmp_path / "bad.qspd"
     p.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
+        read_qspd(p)
+
+
+def _qspd_bytes(f):
+    """The QSPD layout assembled independently of write_qspd."""
+    head = b"QSPD" + struct.pack("<Iq", 1, f.d) + struct.pack(f"<{f.d}q", *f.values.shape[1:])
+    head += struct.pack("<qdd", f.n_t, f.dt, f.t_start)
+    return head + np.ascontiguousarray(f.values, dtype="<f8").tobytes()
+
+
+def test_qspd_round_trip_is_byte_identical(tmp_path):
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 3):
+        vals = rng.standard_normal((5,) + (6,) * d)
+        vals.flat[3] = -0.0
+        strided = vals[(slice(None),) + (slice(None, None, 2),) * d]  # not contiguous
+        for f in (Field(vals, dt=0.125, t_start=0.5), Field(strided, dt=0.25)):
+            p = tmp_path / "f.qspd"
+            write_qspd(p, f)
+            assert p.read_bytes() == _qspd_bytes(f)
+            q = tmp_path / "g.qspd"
+            write_qspd(q, read_qspd(p))
+            assert q.read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [1, 8, 13])
+def test_qspd_rejects_truncated_payload(tmp_path, cut):
+    f = Field(np.arange(24.0).reshape(3, 2, 2, 2)[..., 0], dt=0.5)
+    p = tmp_path / "f.qspd"
+    write_qspd(p, f)
+    p.write_bytes(p.read_bytes()[:-cut])
+    found = (12 * 8 - cut) // 8
+    with pytest.raises(ValueError, match=f"expected 12 float64 values, found {found}"):
         read_qspd(p)
