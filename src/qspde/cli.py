@@ -27,17 +27,10 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, config_hash, parse_config, serialize
 from .hoelder import HoelderReport, c1alpha_seminorm, centered_gradient, seminorm_dyadic
-from .mc_harness import CampaignFailure, covariance_check, run_campaign
+from .mc_harness import CampaignFailure, _noise_path, _solver_setup, covariance_check, run_campaign
 from .nonlinearity import builtin, verify_ellipticity
-from .solver import GRAD_V_NEGATED, SolverConfig, solve
-from .spectral_noise import (
-    CovarianceSpec,
-    Field,
-    evaluate_field,
-    read_qspd,
-    sample_mode_states,
-    write_qspd,
-)
+from .solver import solve
+from .spectral_noise import CovarianceSpec, Field, evaluate_field, read_qspd, write_qspd
 
 
 class _CliError(Exception):
@@ -111,14 +104,8 @@ def _write_json(path: str, obj: dict):
         fh.write("\n")
 
 
-def _noise_path(cfg: ExperimentConfig):
-    spec = CovarianceSpec(cfg.d, cfg.s, cfg.kmax)
-    times = np.arange(cfg.n_steps + 1) * cfg.dt
-    return sample_mode_states(spec, times, cfg.seed, realization=0)
-
-
 def _cmd_sample_noise(cfg: ExperimentConfig, args) -> dict:
-    path = _noise_path(cfg)
+    path = _noise_path(cfg, 0)
     os.makedirs(cfg.out_dir, exist_ok=True)
     files = []
     v = evaluate_field(path, cfg.n_x, mode="value")
@@ -157,15 +144,13 @@ def _read_j_components(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _cmd_solve(cfg: ExperimentConfig, args) -> dict:
-    nl = builtin(cfg.nl_kind, cfg.nl_lambda)
     try:
-        scfg = SolverConfig(cfg.d, cfg.n_x, cfg.dt, cfg.t_end, nl, cfg.theta)
+        scfg, j_source = _solver_setup(cfg)
     except ValueError as exc:
         raise _CliError(1, "validation", [f"solver: {exc}"])
-    j_source = {"zero": None, "grad_v_negated": GRAD_V_NEGATED}.get(cfg.j_mode)
     if cfg.j_mode == "file":
         j_source = _read_j_components(cfg)
-    path = _noise_path(cfg)
+    path = _noise_path(cfg, 0)
     traj = solve(scfg, path, j_source, save_every=cfg.save_every)
     os.makedirs(cfg.out_dir, exist_ok=True)
     dt_save = cfg.dt * cfg.save_every
@@ -201,6 +186,10 @@ def _cmd_norms(cfg: ExperimentConfig, args) -> dict:
         v = read_qspd(vp)
     except (OSError, ValueError) as exc:
         raise _CliError(1, "validation", [f"norms: run solve first; {exc}"])
+    for fp, f in ((wp, w), (vp, v)):
+        if not np.isfinite(f.values).all():
+            i_t, *node = np.argwhere(~np.isfinite(f.values))[0].tolist()
+            raise _CliError(1, "validation", [f"norms: {fp}: non-finite value at time index {i_t}, node {tuple(node)}"])
     grad_w = centered_gradient(w)
     grad_v = centered_gradient(v)
     wnorms = [c1alpha_seminorm(w, grad_w, alpha) for alpha in cfg.alphas]
@@ -231,11 +220,11 @@ def _cmd_norms(cfg: ExperimentConfig, args) -> dict:
 
 
 def _cmd_mc(cfg: ExperimentConfig, args) -> dict:
-    if cfg.j_mode == "file":
-        raise _CliError(1, "validation", ["j_mode: campaigns support zero and grad_v_negated only"])
     workers = 1 if args.deterministic else max(1, args.workers)
     try:
         stats = run_campaign(cfg, workers=workers)
+    except ValueError as exc:  # the config cannot drive a campaign (j_mode = file)
+        raise _CliError(1, "validation", [str(exc)])
     except CampaignFailure as exc:
         raise _CliError(3, "gate", [str(exc)])
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -156,7 +156,8 @@ def seminorm_dyadic(f: Field, alpha: float) -> HoelderReport:
 
     Scan order for the witness: scales coarse to fine, time offset 0..3,
     spatial offsets lexicographic over {-1,0,1}^d, then row-major grid
-    position; the first strict maximum wins.
+    position; the first strict maximum wins.  Expects a finite field: a
+    NaN increment never beats the running max, so it is not counted.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
@@ -293,15 +294,20 @@ def c1alpha_seminorm(w: Field, grad_w: np.ndarray, alpha: float) -> float:
     window and rounding is monotone, so no rounded increment exceeds the
     rounded bound and a skipped pair cannot raise the sup: the result is
     bitwise the exhaustive scan's.  A NaN bound is never skipped, and a
-    lag whose every site is skipped costs no subtraction.
+    lag whose every site is skipped costs no subtraction.  Expects finite
+    fields: a NaN increment never beats the running sup, so it is not counted.
     """
     if grad_w.shape != (w.n_t, w.d) + w.values.shape[1:]:
         raise ValueError("grad_w shape does not match the field grid")
-    grad_part = 0.0
-    for a in range(w.d):
-        comp = Field(grad_w[:, a], dt=w.dt, t_start=w.t_start)
-        grad_part = max(grad_part, seminorm_dyadic(comp, alpha).theta)
-    return grad_part + _temporal_sup(w, alpha)
+    return _max_component_theta(grad_w, w.dt, alpha) + _temporal_sup(w, alpha)
+
+
+def _max_component_theta(slabs: np.ndarray, dt: float, alpha: float) -> float:
+    """Max over a of the dyadic Theta of slabs[:, a] (Theta ignores t_start); slabs is (n_t, d) + grid."""
+    out = 0.0
+    for a in range(slabs.shape[1]):
+        out = max(out, seminorm_dyadic(Field(slabs[:, a], dt=dt), alpha).theta)
+    return out
 
 
 def _temporal_sup(w: Field, alpha: float) -> float:

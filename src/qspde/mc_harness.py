@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hoelder import c1alpha_seminorm, centered_gradient, seminorm_dyadic
+from .hoelder import _max_component_theta, c1alpha_seminorm, centered_gradient
 from .nonlinearity import builtin
 from .solver import GRAD_V_NEGATED, SolverConfig, solve
 from .spectral_noise import (
@@ -45,15 +45,6 @@ class McRecord:
     w_c1alpha: Optional[float]
     wall_time: float
 
-    def to_dict(self):
-        return {
-            "seed": self.seed,
-            "grad_v_alpha": self.grad_v_alpha,
-            "grad_u_alpha": self.grad_u_alpha,
-            "w_c1alpha": self.w_c1alpha,
-            "wall_time": self.wall_time,
-        }
-
 
 @dataclass
 class McStats:
@@ -66,69 +57,44 @@ class McStats:
     failures: list
     moments: dict
     tail: Optional["TailFit"] = None
-    covariance: Optional["CovarianceCheck"] = None
-
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "root_seed": self.root_seed,
-            "alpha": self.alpha,
-            "records": [r.to_dict() for r in self.records],
-            "failures": self.failures,
-            "moments": self.moments,
-            "tail": None if self.tail is None else self.tail.to_dict(),
-            "covariance": None if self.covariance is None else self.covariance.to_dict(),
-        }
 
 
-def _campaign_plan(cfg) -> dict:
-    """Flatten a config object into primitives (worker processes pickle this)."""
-    alphas = tuple(cfg.alphas)
-    if not alphas:
-        raise ValueError("campaigns need at least one alpha")
-    return {
-        "d": cfg.d,
-        "s": cfg.s,
-        "kmax": cfg.kmax,
-        "n_x": cfg.n_x,
-        "dt": cfg.dt,
-        "t_end": cfg.t_end,
-        "alpha": float(alphas[0]),
-        "nl_kind": cfg.nl_kind,
-        "nl_lambda": cfg.nl_lambda,
-        "j_mode": cfg.j_mode,
-        "seed": cfg.seed,
-        "do_solve": bool(getattr(cfg, "mc_solve", False)),
-        "save_every": int(getattr(cfg, "save_every", 1)),
-        "theta": float(getattr(cfg, "theta", 0.5)),
-    }
+# the j sources a run can build from its config alone; "file" is read by the CLI
+_J_SOURCES = {"zero": None, "grad_v_negated": GRAD_V_NEGATED}
 
 
-def _campaign_record(plan: dict, r: int) -> McRecord:
+def _noise_path(cfg, realization: int):
+    """The configured noise realization on the grid arange(n_steps+1)*dt."""
+    spec = CovarianceSpec(cfg.d, cfg.s, cfg.kmax)
+    times = np.arange(cfg.n_steps + 1) * cfg.dt
+    return sample_mode_states(spec, times, cfg.seed, realization=realization)
+
+
+def _solver_setup(cfg):
+    """The SolverConfig with the built-in flux, and the j source (None for zero or file)."""
+    nl = builtin(cfg.nl_kind, cfg.nl_lambda)
+    scfg = SolverConfig(cfg.d, cfg.n_x, cfg.dt, cfg.t_end, nl, cfg.theta)
+    return scfg, _J_SOURCES.get(cfg.j_mode)
+
+
+def _campaign_record(cfg, r: int) -> McRecord:
     t0 = time.perf_counter()
-    spec = CovarianceSpec(plan["d"], plan["s"], plan["kmax"])
-    alpha = plan["alpha"]
-    n_steps = int(round(plan["t_end"] / plan["dt"]))
-    times = np.arange(n_steps + 1) * plan["dt"]
-    path = sample_mode_states(spec, times, plan["seed"], realization=r)
+    alpha = float(cfg.alphas[0])
+    path = _noise_path(cfg, r)
 
-    if plan["do_solve"]:
-        nl = builtin(plan["nl_kind"], plan["nl_lambda"])
-        cfg = SolverConfig(
-            plan["d"], plan["n_x"], plan["dt"], plan["t_end"], nl, plan["theta"]
-        )
-        j_source = {"zero": None, "grad_v_negated": GRAD_V_NEGATED}[plan["j_mode"]]
-        traj = solve(cfg, path, j_source, save_every=plan["save_every"])
-        dt_save = plan["dt"] * plan["save_every"]
+    if cfg.mc_solve:
+        scfg, j_source = _solver_setup(cfg)
+        traj = solve(scfg, path, j_source, save_every=cfg.save_every)
+        dt_save = cfg.dt * cfg.save_every
         wf = Field(traj.w, dt=dt_save)
         grad_w = centered_gradient(wf)
         gv = traj.grad_v
-        grad_v_alpha = _component_max_dyadic(gv, dt_save, alpha)
-        grad_u_alpha = _component_max_dyadic(grad_w + gv, dt_save, alpha)
+        grad_v_alpha = _max_component_theta(gv, dt_save, alpha)
+        grad_u_alpha = _max_component_theta(grad_w + gv, dt_save, alpha)
         w_norm = c1alpha_seminorm(wf, grad_w, alpha)
     else:
-        gv = _spectral_slabs(path.modes, path.coeffs, plan["n_x"], range(plan["d"]))
-        grad_v_alpha = _component_max_dyadic(gv, plan["dt"], alpha)
+        gv = _spectral_slabs(path.modes, path.coeffs, cfg.n_x, range(cfg.d))
+        grad_v_alpha = _max_component_theta(gv, cfg.dt, alpha)
         grad_u_alpha = None
         w_norm = None
     return McRecord(
@@ -140,19 +106,10 @@ def _campaign_record(plan: dict, r: int) -> McRecord:
     )
 
 
-def _component_max_dyadic(slabs: np.ndarray, dt: float, alpha: float) -> float:
-    # slabs has shape (n_t, d) + grid
-    out = 0.0
-    for a in range(slabs.shape[1]):
-        f = Field(slabs[:, a], dt=dt)
-        out = max(out, seminorm_dyadic(f, alpha).theta)
-    return out
-
-
 def _campaign_worker(args):
-    plan, r = args
+    cfg, r = args
     try:
-        return r, _campaign_record(plan, r), None
+        return r, _campaign_record(cfg, r), None
     except Exception as exc:  # recorded, gated below
         return r, None, f"{type(exc).__name__}: {exc}"
 
@@ -168,15 +125,19 @@ def run_campaign(cfg, workers: int = 1, realizations: Optional[Sequence[int]] = 
     comparable in law only.  Records are aggregated in realization order,
     so the result is bitwise independent of the worker count.  Individual
     failures are recorded; more than 1% of them aborts with
-    CampaignFailure.
+    CampaignFailure.  A config without alphas, or with j_mode = file,
+    raises ValueError before any realization runs.
     """
-    plan = _campaign_plan(cfg)
+    if not cfg.alphas:
+        raise ValueError("campaigns need at least one alpha")
+    if cfg.j_mode not in _J_SOURCES:
+        raise ValueError("j_mode: campaigns support zero and grad_v_negated only")
     if realizations is None:
         realizations = range(cfg.n_realizations)
     idx = list(realizations)
     if not idx:
         raise ValueError("empty realization list")
-    tasks = [(plan, r) for r in idx]
+    tasks = [(cfg, r) for r in idx]
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             raw = pool.map(_campaign_worker, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
@@ -211,7 +172,7 @@ def run_campaign(cfg, workers: int = 1, realizations: Optional[Sequence[int]] = 
     return McStats(
         n=len(records),
         root_seed=cfg.seed,
-        alpha=plan["alpha"],
+        alpha=float(cfg.alphas[0]),
         records=records,
         failures=failures,
         moments=moments,

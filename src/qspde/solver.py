@@ -358,18 +358,6 @@ class ContractionReport:
     dissipation: np.ndarray
     mean_drift_rate: float = 0.0
 
-    def to_dict(self):
-        return {
-            "passed": self.passed,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "dt": self.dt,
-            "initial_distance": self.initial_distance,
-            "final_distance": self.final_distance,
-            "min_dissipation": self.min_dissipation,
-            "mean_drift_rate": self.mean_drift_rate,
-        }
-
 
 def contraction_test(
     cfg: SolverConfig,

@@ -11,6 +11,7 @@ exact law of the continuum object regardless of step size.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field as dc_field
 
@@ -100,8 +101,11 @@ def read_qspd(path) -> Field:
         dt, t_start = struct.unpack("<dd", fh.read(16))
         count = n_t * int(np.prod(shape))
         payload = np.fromfile(fh, dtype="<f8", count=count)
+        extra = os.fstat(fh.fileno()).st_size - fh.tell()
     if payload.size != count:
         raise ValueError(f"truncated QSPD payload: expected {count} float64 values, found {payload.size}")
+    if extra:
+        raise ValueError(f"QSPD payload of {count} float64 values is followed by {extra} extra bytes")
     return Field(payload.reshape((n_t,) + shape), dt=dt, t_start=t_start)
 
 

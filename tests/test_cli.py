@@ -320,6 +320,24 @@ def test_cli_norms_without_solve_outputs(tmp_path, capsys):
     assert "run solve first" in "\n".join(err["error"]["messages"])
 
 
+@pytest.mark.parametrize("name", ["w", "v"])
+def test_cli_norms_rejects_non_finite_input(tmp_path, capsys, name):
+    cfgp = write_cfg(tmp_path, **SOLVE_OVERRIDES)
+    out = tmp_path / "run"
+    assert run_cli(capsys, ["solve", "--config", str(cfgp), "--out", str(out)])[0] == 0
+    fp = out / f"{name}.qspd"
+    f = read_qspd(fp)
+    vals = f.values.copy()
+    vals[5, 3] = np.nan
+    vals[7, 1] = np.inf  # later in time: the first bad sample is named
+    write_qspd(fp, Field(vals, dt=f.dt, t_start=f.t_start))
+    rc, err = run_cli(capsys, ["norms", "--config", str(cfgp), "--out", str(out)])
+    assert rc == 1
+    msg = "\n".join(err["error"]["messages"])
+    assert f"{name}.qspd" in msg and "time index 5" in msg and "node (3,)" in msg
+    assert not (out / "norms.csv").exists()
+
+
 def test_cli_mc_deterministic_and_stable(tmp_path, capsys):
     cfgp = write_cfg(tmp_path)
     out = tmp_path / "run"

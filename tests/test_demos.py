@@ -4,7 +4,8 @@ and qspde.__all__ lists exactly the names the package exports.
 Running the four demos takes tens of seconds, so these tests only parse
 them: every `from qspde... import name` must resolve to an attribute of
 the imported module.  A demo that still imports a deleted name fails
-here in milliseconds.
+here in milliseconds.  The README quickstart takes about two seconds,
+so it is also run.
 """
 
 import ast
@@ -51,10 +52,21 @@ def test_demo_imports_resolve(path):
     _check(path.read_text(), path.name)
 
 
-def test_readme_quickstart_imports_resolve():
+def _quickstart() -> str:
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert blocks
-    _check("\n".join(blocks), "README.md")
+    return "\n".join(blocks)
+
+
+def test_readme_quickstart_imports_resolve():
+    _check(_quickstart(), "README.md")
+
+
+def test_readme_quickstart_runs(capsys):
+    exec(compile(_quickstart(), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[1].split()[0] == "True"  # the contraction pair passes
 
 
 def test_all_is_exactly_the_public_attributes():

@@ -145,6 +145,16 @@ def test_campaign_rejects_empty_inputs():
         run_campaign(noise_cfg(), realizations=[])
 
 
+@pytest.mark.parametrize("mc_solve", [False, True])
+def test_campaign_rejects_file_j_mode_before_any_realization(monkeypatch, mc_solve):
+    calls = []
+    monkeypatch.setattr(mc_harness, "_campaign_record", lambda cfg, r: calls.append(r))
+    cfg = solve_cfg(j_mode="file", j_file="j0.qspd", mc_solve=mc_solve)
+    with pytest.raises(ValueError, match="campaigns support zero and grad_v_negated only"):
+        run_campaign(cfg)
+    assert calls == []
+
+
 def test_substreams_uncorrelated_across_realizations():
     stats = run_campaign(noise_cfg(n_realizations=256))
     x = np.array([r.grad_v_alpha for r in stats.records])

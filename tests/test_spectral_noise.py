@@ -530,3 +530,12 @@ def test_qspd_rejects_truncated_payload(tmp_path, cut):
     found = (12 * 8 - cut) // 8
     with pytest.raises(ValueError, match=f"expected 12 float64 values, found {found}"):
         read_qspd(p)
+
+
+@pytest.mark.parametrize("extra", [1, 24])
+def test_qspd_rejects_bytes_after_payload(tmp_path, extra):
+    p = tmp_path / "f.qspd"
+    write_qspd(p, Field(np.arange(12.0).reshape(3, 4), dt=0.5))
+    p.write_bytes(p.read_bytes() + b"\x00" * extra)
+    with pytest.raises(ValueError, match=f"12 float64 values is followed by {extra} extra bytes"):
+        read_qspd(p)
