@@ -179,9 +179,7 @@ def seminorm_dyadic(f: Field, alpha: float) -> HoelderReport:
     best_R = None
     offsets = [o for o in itertools.product((-1, 0, 1), repeat=d)]
     for n, R, st, sx in levels:
-        sub = vals[::st]
-        for a in range(d):
-            sub = np.take(sub, np.arange(0, f.n_x, sx), axis=1 + a)
+        sub = vals[(slice(None, None, st),) + (slice(None, None, sx),) * d]
         m_t = sub.shape[0]
         scale = R**-alpha
         for dt_idx in range(0, min(4, m_t)):

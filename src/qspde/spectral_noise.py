@@ -99,6 +99,10 @@ def read_qspd(path) -> Field:
         shape = struct.unpack(f"<{d}q", fh.read(8 * d))
         (n_t,) = struct.unpack("<q", fh.read(8))
         dt, t_start = struct.unpack("<dd", fh.read(16))
+        if min(shape) < 1:
+            raise ValueError(f"QSPD header axis sizes {shape} must all be at least 1")
+        if n_t < 0:
+            raise ValueError(f"QSPD header n_t is {n_t}; it must be at least 0")
         count = n_t * int(np.prod(shape))
         payload = np.fromfile(fh, dtype="<f8", count=count)
         extra = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -189,10 +193,10 @@ def choose_kmax(d: int, s: float, tol: float = 1e-6, limit: int = 1 << 20) -> in
 class ModeSet:
     """All wave vectors k = 2*pi*m with |m_i| <= kmax, negation-closed.
 
-    Rows are ordered lexicographically in m over [-kmax, kmax]^d; with that
-    ordering the negation pairing is index reversal.  rep_mask marks one
-    representative per {k, -k} pair (m = 0, or first nonzero component
-    positive); only representatives consume random draws.
+    Rows are ordered lexicographically in m over [-kmax, kmax]^d, so the
+    negation pairing is index reversal and rep_mask, one representative per
+    {k, -k} pair (m = 0, or first nonzero component positive), is the upper
+    half: indices n // 2 and up.  Only representatives consume random draws.
     """
 
     d: int
@@ -219,13 +223,7 @@ def make_mode_set(d: int, kmax: int) -> ModeSet:
     ksq = np.sum(k * k, axis=1)
     n = m.shape[0]
     neg_index = np.arange(n - 1, -1, -1)
-    # representative: first nonzero component positive, or m = 0
-    rep = np.ones(n, dtype=bool)
-    for axis in range(d):
-        col = m[:, axis]
-        earlier_zero = np.all(m[:, :axis] == 0, axis=1) if axis else np.ones(n, bool)
-        rep &= ~(earlier_zero & (col < 0))
-    return ModeSet(int(d), int(kmax), m, k, ksq, neg_index, rep)
+    return ModeSet(int(d), int(kmax), m, k, ksq, neg_index, np.arange(n) >= n // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -343,60 +341,61 @@ def sample_mode_states(
     Each representative mode draws its normals from a Philox stream keyed
     by the seed with counter [draw, 0, realization, mode index], two per
     grid time (the first pair drives the transition from rest into
-    times[0]); the index is the mode's position in the full lexicographic
-    order, so the assignment is stable under any kmax.
+    times[0]).  The index is the mode's position in the order for this
+    kmax, so changing kmax changes every mode's draws.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     n_steps = times.size - 1
     if modes is None:
         modes = make_mode_set(spec.d, spec.kmax)
-    reps = np.nonzero(modes.rep_mask)[0]
-    ksq = modes.ksq[reps]
-    kh = spec.khat(modes.k[reps])
+    h = len(modes) // 2
+    ksq = modes.ksq[h:]
+    kh = spec.khat(modes.k[h:])
     stream = _mode_streams(seed, realization)
     # first state: transition from rest at time 0 (or zero if t <= 0)
     _, var0 = step_moments(ksq, kh, 0.0, max(times[0], 0.0))
     sig0 = np.sqrt(var0)
-    states = np.empty((times.size, reps.size), dtype=np.complex128)
+    coeffs = np.empty((times.size, len(modes)), dtype=np.complex128)
+    upper = coeffs[:, h:]
 
     uniform = n_steps > 0 and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-12, atol=1e-15)
     if uniform and times[0] >= 0.0 and times[-1] <= 1.0:
         # constant-coefficient recursion, one lfilter per mode and block
         decay, var = step_moments(ksq, kh, 0.0, times[1] - times[0])
         sig = np.sqrt(var)
-        for j, mode_index in enumerate(reps):
-            gen = stream(int(mode_index))
-            states[0, j] = (sig0[j] * _to_complex(gen.standard_normal((1, 2)), ksq[j]))[0]
-            zi = np.array([decay[j] * states[0, j]])
+        for j in range(ksq.size):
+            gen = stream(h + j)
+            upper[0, j] = (sig0[j] * _to_complex(gen.standard_normal((1, 2)), ksq[j]))[0]
+            zi = np.array([decay[j] * upper[0, j]])
             done = 0
             while done < n_steps:
                 c = min(_CHUNK, n_steps - done)
                 noise = sig[j] * _to_complex(gen.standard_normal((c, 2)), ksq[j])
                 y, zi = lfilter([1.0], [1.0, -decay[j]], noise, zi=zi)
-                states[done + 1 : done + 1 + c, j] = y
+                upper[done + 1 : done + 1 + c, j] = y
                 done += c
     else:
-        normals = np.empty((reps.size, times.size, 2), dtype=np.float64)
-        for j, mode_index in enumerate(reps):
-            stream(int(mode_index)).standard_normal(out=normals[j])
+        normals = np.empty((ksq.size, times.size, 2), dtype=np.float64)
+        for j in range(ksq.size):
+            stream(h + j).standard_normal(out=normals[j])
         cur = sig0 * _to_complex(normals[:, 0, :], ksq)
-        states[0] = cur
+        upper[0] = cur
         for i in range(1, times.size):
             decay, var = step_moments(ksq, kh, times[i - 1], times[i])
             cur = decay * cur + np.sqrt(var) * _to_complex(normals[:, i, :], ksq)
-            states[i] = cur
+            upper[i] = cur
 
-    # the negation of every other mode is a representative
-    coeffs = np.empty((times.size, len(modes)), dtype=np.complex128)
-    coeffs[:, reps] = states
-    others = np.nonzero(~modes.rep_mask)[0]
-    coeffs[:, others] = np.conj(coeffs[:, modes.neg_index[others]])
-    if not np.all(np.isfinite(coeffs.view(np.float64))):
+    # conjugation keeps finiteness, so checking the upper half suffices
+    if not np.isfinite(upper).all():
         raise FloatingPointError("non-finite mode coefficient")
+    # mode i is the negation of mode n-1-i: the reversed upper half, less m = 0
+    np.conjugate(coeffs[:, :h:-1], out=coeffs[:, :h])
     return NoisePath(spec, modes, times, coeffs, seed, realization)
 
 

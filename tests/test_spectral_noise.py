@@ -2,6 +2,8 @@
 
 import math
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +80,23 @@ def test_mode_set_rejects_bad_arguments():
 def test_mode_set_kmax_zero():
     ms = make_mode_set(2, 0)
     assert len(ms) == 1 and np.all(ms.m == 0)
+
+
+def _sign_rule_reps(m):
+    # one representative per {k, -k}: m = 0, or first nonzero component positive
+    nonzero = m != 0
+    first = np.argmax(nonzero, axis=1)
+    lead = m[np.arange(m.shape[0]), first]
+    return ~nonzero.any(axis=1) | (lead > 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kmax", [0, 1, 2, 3, 4])
+def test_rep_mask_matches_sign_rule(d, kmax):
+    ms = make_mode_set(d, kmax)
+    assert np.array_equal(ms.rep_mask, _sign_rule_reps(ms.m))
+    # every non-representative is the negation of a representative
+    assert np.all(ms.rep_mask[ms.neg_index[~ms.rep_mask]])
 
 
 def test_spec_rejects_s_at_or_below_d():
@@ -235,6 +254,55 @@ def test_nonuniform_grid_matches_uniform_at_common_times():
     path = sample_mode_states(spec, times, seed=5)
     assert np.all(path.coeffs[0] == 0)
     assert np.all(np.isfinite(path.coeffs.view(np.float64)))
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, np.inf]])
+def test_sampler_rejects_non_finite_times(monkeypatch, times):
+    def no_draws(*args):
+        raise AssertionError("drew before validating times")
+
+    monkeypatch.setattr(spectral_noise, "_mode_streams", no_draws)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="times must be finite"):
+            sample_mode_states(CovarianceSpec(1, 2.0, 3), times, seed=1)
+
+
+@pytest.mark.parametrize(
+    "times", [np.arange(17) / 16, np.array([0.0, 0.1, 0.4, 1.0, 1.5])], ids=["uniform", "nonuniform"]
+)
+def test_non_finite_variance_is_reported(monkeypatch, times):
+    real = spectral_noise.step_moments
+
+    def one_nan(ksq, khat_k, t0, t1):
+        decay, var = real(ksq, khat_k, t0, t1)
+        var[-1] = np.nan  # the representative with the largest index
+        return decay, var
+
+    monkeypatch.setattr(spectral_noise, "step_moments", one_nan)
+    with pytest.raises(FloatingPointError, match="non-finite mode coefficient"):
+        sample_mode_states(CovarianceSpec(1, 2.0, 3), times, seed=1)
+
+
+@pytest.mark.parametrize(
+    "times, bound",
+    [(np.arange(2**14 + 1) / 2**14, 1.2), ((np.arange(2**12 + 1) / 2**12) ** 2, 1.7)],
+    ids=["uniform", "nonuniform"],
+)
+def test_sampler_peak_memory_near_coeffs(times, bound):
+    # representatives are written straight into coeffs and the conjugate
+    # half is filled in place: no states copy and no full-size temporaries.
+    # The non-uniform grid also holds its normals, half the size of coeffs.
+    spec = CovarianceSpec(1, 2.0, 31)
+    modes = make_mode_set(1, 31)
+    sample_mode_states(spec, times[:4], seed=3, modes=modes)  # warm caches
+    tracemalloc.start()
+    try:
+        path = sample_mode_states(spec, times, seed=3, modes=modes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * path.coeffs.nbytes
 
 
 def test_strided_sampler_bitwise_matches_full_grid(monkeypatch):
@@ -529,6 +597,29 @@ def test_qspd_rejects_truncated_payload(tmp_path, cut):
     p.write_bytes(p.read_bytes()[:-cut])
     found = (12 * 8 - cut) // 8
     with pytest.raises(ValueError, match=f"expected 12 float64 values, found {found}"):
+        read_qspd(p)
+
+
+def _qspd_header(d, shape, n_t):
+    return b"QSPD" + struct.pack(f"<Iq{d}qqdd", 1, d, *shape, n_t, 0.5, 0.0)
+
+
+@pytest.mark.parametrize(
+    "shape, n_t, match",
+    [
+        ((2,), -1, "n_t is -1"),
+        ((2, 2), -4, "n_t is -4"),
+        ((-3,), 2, r"axis sizes \(-3,\)"),
+        ((4, -1), 2, r"axis sizes \(4, -1\)"),
+        ((0,), 3, r"axis sizes \(0,\)"),
+        ((3, 0, 3), 1, r"axis sizes \(3, 0, 3\)"),
+    ],
+    ids=["n_t=-1", "n_t=-4", "axis0=-3", "axis1=-1", "axis0=0", "axis1=0"],
+)
+def test_qspd_rejects_impossible_header_sizes(tmp_path, shape, n_t, match):
+    p = tmp_path / "f.qspd"
+    p.write_bytes(_qspd_header(len(shape), shape, n_t) + b"\x00" * 64)
+    with pytest.raises(ValueError, match=match):
         read_qspd(p)
 
 
