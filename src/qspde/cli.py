@@ -21,13 +21,13 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, config_hash, parse_config, serialize
 from .hoelder import HoelderReport, c1alpha_seminorm, centered_gradient, seminorm_dyadic
-from .mc_harness import CampaignFailure, _noise_path, _solver_setup, covariance_check, run_campaign
+from .mc_harness import CampaignFailure, McRecord, _noise_path, _solver_setup, covariance_check, run_campaign
 from .nonlinearity import builtin, verify_ellipticity
 from .solver import solve
 from .spectral_noise import CovarianceSpec, Field, evaluate_field, read_qspd, write_qspd
@@ -75,14 +75,13 @@ def _load_config(args) -> ExperimentConfig:
             text = fh.read()
     except OSError as exc:
         raise _CliError(1, "validation", [f"config: {exc}"])
+    overrides = {k: v for k, v in (("seed", args.seed), ("out_dir", args.out)) if v is not None}
     try:
         cfg = parse_config(text)
+        if overrides:  # an overridden config passes the same schema as a written one
+            cfg = parse_config(serialize(replace(cfg, **overrides)))
     except ConfigError as exc:
         raise _CliError(1, "validation", exc.violations)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
     return cfg
 
 
@@ -219,6 +218,13 @@ def _cmd_norms(cfg: ExperimentConfig, args) -> dict:
     return {"written": [cp], "config_hash": config_hash(cfg), "seed": cfg.seed, "values": values}
 
 
+def _csv_cell(value) -> str:
+    """Floats with 17 significant digits, None as an empty cell."""
+    if value is None:
+        return ""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
 def _cmd_mc(cfg: ExperimentConfig, args) -> dict:
     workers = 1 if args.deterministic else max(1, args.workers)
     try:
@@ -231,17 +237,11 @@ def _cmd_mc(cfg: ExperimentConfig, args) -> dict:
     cp = os.path.join(cfg.out_dir, "mc_records.csv")
     with open(cp, "w") as fh:
         fh.write(f"# config_hash={config_hash(cfg)} seed={cfg.seed}\n")
-        fh.write("seed,grad_v_alpha,grad_u_alpha,w_c1alpha,wall_time\n")
+        fh.write(",".join(f.name for f in fields(McRecord)) + "\n")
         for rec in stats.records:
-            wall = 0.0 if args.deterministic else rec.wall_time
-            cells = [
-                str(rec.seed),
-                f"{rec.grad_v_alpha:.17g}",
-                "" if rec.grad_u_alpha is None else f"{rec.grad_u_alpha:.17g}",
-                "" if rec.w_c1alpha is None else f"{rec.w_c1alpha:.17g}",
-                f"{wall:.17g}",
-            ]
-            fh.write(",".join(cells) + "\n")
+            if args.deterministic:
+                rec = replace(rec, wall_time=0.0)
+            fh.write(",".join(map(_csv_cell, astuple(rec))) + "\n")
     report = _meta(
         cfg,
         "mc",

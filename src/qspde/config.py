@@ -1,5 +1,10 @@
 """Experiment configuration: a flat key = value schema.
 
+_KEYS is the schema: one row per key, in canonical order, naming the
+ExperimentConfig field it fills, how to parse and format its value and
+what a bad value should have looked like.  The dataclass defaults are the
+only defaults; a key whose field has none is required.
+
 parse_config validates the whole file and reports every violation at
 once, each naming the offending key and the constraint it breaks.
 serialize emits a canonical normal form (fixed key order, floats with
@@ -10,7 +15,8 @@ config_hash identifies an experiment.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from types import SimpleNamespace
 from typing import Optional, Tuple
 
 
@@ -32,10 +38,10 @@ class ExperimentConfig:
     t_end: float
     alphas: Tuple[float, ...]
     nl_kind: str
-    nl_lambda: float
     j_mode: str
     seed: int
     n_realizations: int
+    nl_lambda: float = 1.0
     j_file: Optional[str] = None
     out_dir: str = "."
     theta: float = 0.5
@@ -47,17 +53,46 @@ class ExperimentConfig:
         return int(round(self.t_end / self.dt))
 
 
-_REQUIRED = (
-    "d", "s", "kmax", "n_x", "dt", "t_end", "alpha",
-    "nonlinearity", "j_mode", "seed", "n_realizations",
-)
-_OPTIONAL = ("lambda", "j_file", "out_dir", "theta", "save_every", "mc_solve")
 _NL_KINDS = ("identity", "tanh_perturbed")
 _J_MODES = ("zero", "grad_v_negated", "file")
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _parse_bool(v: str) -> bool:
+    lv = v.lower()
+    if lv not in ("true", "false"):
+        raise ValueError(v)
+    return lv == "true"
+
+
+def _parse_reals(v: str) -> Tuple[float, ...]:
+    return tuple(float(p) for p in v.split(",") if p.strip())
+
+
+# (key, ExperimentConfig field, parser, expected value, formatter) in serialize order
+_KEYS = (
+    ("d", "d", int, "an integer", str),
+    ("s", "s", float, "a real", _fmt),
+    ("kmax", "kmax", int, "an integer", str),
+    ("n_x", "n_x", int, "an integer", str),
+    ("dt", "dt", float, "a real", _fmt),
+    ("t_end", "t_end", float, "a real", _fmt),
+    ("alpha", "alphas", _parse_reals, "a comma-separated list of reals", lambda a: ", ".join(map(_fmt, a))),
+    ("nonlinearity", "nl_kind", str, "a string", str),
+    ("lambda", "nl_lambda", float, "a real", _fmt),
+    ("j_mode", "j_mode", str, "a string", str),
+    ("j_file", "j_file", str, "a string", str),
+    ("seed", "seed", int, "an integer", str),
+    ("n_realizations", "n_realizations", int, "an integer", str),
+    ("out_dir", "out_dir", str, "a string", str),
+    ("theta", "theta", float, "a real", _fmt),
+    ("save_every", "save_every", int, "an integer", str),
+    ("mc_solve", "mc_solve", _parse_bool, "true or false", lambda b: "true" if b else "false"),
+)
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -86,175 +121,116 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         raw[key] = val
 
+    known = {key for key, *_ in _KEYS}
     for key in raw:
-        if key not in _REQUIRED and key not in _OPTIONAL:
+        if key not in known:
             bad.append(f"{key}: unknown key")
-    for key in _REQUIRED:
-        if key not in raw:
+    for key, name, *_ in _KEYS:
+        if key not in raw and name not in _DEFAULTS:
             bad.append(f"{key}: required key missing")
 
+    # every field, None where its key is missing without a default or fails to parse
     vals = {}
-
-    def take(key, conv, desc):
-        if key not in raw:
-            return None
+    for key, name, conv, desc, _ in _KEYS:
         try:
-            vals[key] = conv(raw[key])
-            return vals[key]
+            vals[name] = conv(raw[key]) if key in raw else _DEFAULTS.get(name)
         except (TypeError, ValueError):
             bad.append(f"{key}: expected {desc}, got {raw[key]!r}")
-            return None
+            vals[name] = None
 
-    def conv_bool(v):
-        lv = v.lower()
-        if lv not in ("true", "false"):
-            raise ValueError(v)
-        return lv == "true"
-
-    d = take("d", int, "an integer")
-    s = take("s", float, "a real")
-    kmax = take("kmax", int, "an integer")
-    n_x = take("n_x", int, "an integer")
-    dt = take("dt", float, "a real")
-    t_end = take("t_end", float, "a real")
-    alphas = take(
-        "alpha",
-        lambda v: tuple(float(p) for p in v.split(",") if p.strip()),
-        "a comma-separated list of reals",
-    )
-    nl_kind = take("nonlinearity", str, "a string")
-    lam = take("lambda", float, "a real")
-    j_mode = take("j_mode", str, "a string")
-    j_file = raw.get("j_file")
-    seed = take("seed", int, "an integer")
-    n_real = take("n_realizations", int, "an integer")
-    out_dir = raw.get("out_dir", ".")
-    theta = take("theta", float, "a real")
-    save_every = take("save_every", int, "an integer")
-    mc_solve = take("mc_solve", conv_bool, "true or false")
-
-    if lam is None and "lambda" not in raw:
-        lam = 1.0
-    if theta is None and "theta" not in raw:
-        theta = 0.5
-    if save_every is None and "save_every" not in raw:
-        save_every = 1
-    if mc_solve is None and "mc_solve" not in raw:
-        mc_solve = False
-
-    if d is not None and d < 1:
-        bad.append(f"d: must be >= 1, got {d}")
-    if d is not None and s is not None and not s > d:
-        bad.append(f"s: noise covariance is trace class only for s > d, got s = {_fmt(s)} with d = {d}")
-    if kmax is not None and kmax < 1:
-        bad.append(f"kmax: must be >= 1, got {kmax}")
-    if n_x is not None and kmax is not None and n_x < 2 * kmax + 2:
-        bad.append(f"n_x: must be >= 2*kmax+2 = {2 * kmax + 2} for alias-free evaluation, got {n_x}")
-    if dt is not None and not dt > 0:
-        bad.append(f"dt: must be > 0, got {_fmt(dt)}")
-    if t_end is not None and not t_end > 0:
-        bad.append(f"t_end: must be > 0, got {_fmt(t_end)}")
+    # cross-key rules read the parsed fields by name
+    c = SimpleNamespace(**vals)
+    if c.d is not None and c.d < 1:
+        bad.append(f"d: must be >= 1, got {c.d}")
+    if c.d is not None and c.s is not None and not c.s > c.d:
+        bad.append(f"s: noise covariance is trace class only for s > d, got s = {_fmt(c.s)} with d = {c.d}")
+    if c.kmax is not None and c.kmax < 1:
+        bad.append(f"kmax: must be >= 1, got {c.kmax}")
+    if c.n_x is not None and c.kmax is not None and c.n_x < 2 * c.kmax + 2:
+        bad.append(f"n_x: must be >= 2*kmax+2 = {2 * c.kmax + 2} for alias-free evaluation, got {c.n_x}")
+    if c.dt is not None and not c.dt > 0:
+        bad.append(f"dt: must be > 0, got {_fmt(c.dt)}")
+    if c.t_end is not None and not c.t_end > 0:
+        bad.append(f"t_end: must be > 0, got {_fmt(c.t_end)}")
     n_steps = None
-    if dt is not None and t_end is not None and dt > 0 and t_end > 0:
-        n_steps = int(round(t_end / dt))
-        if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end) or n_steps < 1:
-            bad.append(f"dt: t_end must be an integer multiple of dt, got t_end/dt = {_fmt(t_end / dt)}")
+    if c.dt is not None and c.t_end is not None and c.dt > 0 and c.t_end > 0:
+        n_steps = int(round(c.t_end / c.dt))
+        if abs(n_steps * c.dt - c.t_end) > 1e-9 * max(1.0, c.t_end) or n_steps < 1:
+            bad.append(f"dt: t_end must be an integer multiple of dt, got t_end/dt = {_fmt(c.t_end / c.dt)}")
             n_steps = None
-    if alphas is not None:
-        if not alphas:
+    if c.alphas is not None:
+        if not c.alphas:
             bad.append("alpha: needs at least one value")
-        elif d is not None and s is not None and s > d:
-            cap = min((s - d) / 2.0, 1.0)
-            for a in alphas:
+        elif c.d is not None and c.s is not None and c.s > c.d:
+            cap = min((c.s - c.d) / 2.0, 1.0)
+            for a in c.alphas:
                 if not 0.0 < a < cap:
                     bad.append(
                         f"alpha: admissible exponents lie in (0, min((s-d)/2, 1)) = (0, {_fmt(cap)}), got {_fmt(a)}"
                     )
-    if nl_kind is not None and nl_kind not in _NL_KINDS:
-        bad.append(f"nonlinearity: must be one of {', '.join(_NL_KINDS)}, got {nl_kind!r}")
-    if lam is not None and not 0.0 < lam <= 1.0:
-        bad.append(f"lambda: ellipticity constant must lie in (0, 1], got {_fmt(lam)}")
-    if j_mode is not None and j_mode not in _J_MODES:
-        bad.append(f"j_mode: must be one of {', '.join(_J_MODES)}, got {j_mode!r}")
-    if j_mode == "file" and j_file is None:
+    if c.nl_kind is not None and c.nl_kind not in _NL_KINDS:
+        bad.append(f"nonlinearity: must be one of {', '.join(_NL_KINDS)}, got {c.nl_kind!r}")
+    if c.nl_lambda is not None and not 0.0 < c.nl_lambda <= 1.0:
+        bad.append(f"lambda: ellipticity constant must lie in (0, 1], got {_fmt(c.nl_lambda)}")
+    if c.j_mode is not None and c.j_mode not in _J_MODES:
+        bad.append(f"j_mode: must be one of {', '.join(_J_MODES)}, got {c.j_mode!r}")
+    if c.j_mode == "file" and c.j_file is None:
         bad.append("j_file: required when j_mode = file")
-    if j_file is not None and j_mode is not None and j_mode != "file":
-        bad.append(f"j_file: only meaningful with j_mode = file, got j_mode = {j_mode!r}")
-    if seed is not None and seed < 0:
-        bad.append(f"seed: must be >= 0, got {seed}")
-    if n_real is not None and n_real < 1:
-        bad.append(f"n_realizations: must be >= 1, got {n_real}")
-    if theta is not None and not 0.0 < theta <= 1.0:
-        bad.append(f"theta: stability fraction must lie in (0, 1], got {_fmt(theta)}")
-    if save_every is not None and save_every < 1:
-        bad.append(f"save_every: must be >= 1, got {save_every}")
+    if c.j_file is not None and c.j_mode is not None and c.j_mode != "file":
+        bad.append(f"j_file: only meaningful with j_mode = file, got j_mode = {c.j_mode!r}")
+    if c.seed is not None and c.seed < 0:
+        bad.append(f"seed: must be >= 0, got {c.seed}")
+    if c.n_realizations is not None and c.n_realizations < 1:
+        bad.append(f"n_realizations: must be >= 1, got {c.n_realizations}")
+    if c.theta is not None and not 0.0 < c.theta <= 1.0:
+        bad.append(f"theta: stability fraction must lie in (0, 1], got {_fmt(c.theta)}")
+    if c.save_every is not None and c.save_every < 1:
+        bad.append(f"save_every: must be >= 1, got {c.save_every}")
     if (
-        save_every is not None
+        c.save_every is not None
         and n_steps is not None
-        and save_every >= 1
-        and n_steps % save_every != 0
+        and c.save_every >= 1
+        and n_steps % c.save_every != 0
     ):
-        bad.append(f"save_every: must divide n_steps = {n_steps}, got {save_every}")
+        bad.append(f"save_every: must divide n_steps = {n_steps}, got {c.save_every}")
 
     # dyadic norm grids: required whenever norms will be estimated
-    if alphas and n_x is not None and n_x >= 2 and (n_x & (n_x - 1)) != 0:
-        bad.append(f"n_x: dyadic norm estimation needs a power of two, got {n_x}")
-    if alphas and n_steps is not None and save_every and n_steps % save_every == 0:
-        m = n_steps // save_every if mc_solve else n_steps
+    if c.alphas and c.n_x is not None and c.n_x >= 2 and (c.n_x & (c.n_x - 1)) != 0:
+        bad.append(f"n_x: dyadic norm estimation needs a power of two, got {c.n_x}")
+    if c.alphas and n_steps is not None and c.save_every and n_steps % c.save_every == 0:
+        m = n_steps // c.save_every if c.mc_solve else n_steps
         if m >= 1 and (m & (m - 1)) != 0:
             bad.append(
                 f"dt: dyadic norm estimation needs a power of two of saved intervals, got {m}"
             )
 
     if (
-        mc_solve
-        and None not in (d, n_x, dt, theta)
-        and d >= 1
-        and n_x >= 2
-        and dt > 0
-        and 0 < theta <= 1
+        c.mc_solve
+        and None not in (c.d, c.n_x, c.dt, c.theta)
+        and c.d >= 1
+        and c.n_x >= 2
+        and c.dt > 0
+        and 0 < c.theta <= 1
     ):
-        dx = 1.0 / n_x
-        limit = theta * dx * dx / (2.0 * d)
-        if dt > limit * (1.0 + 1e-12):
+        dx = 1.0 / c.n_x
+        limit = c.theta * dx * dx / (2.0 * c.d)
+        if c.dt > limit * (1.0 + 1e-12):
             bad.append(
-                f"dt: violates the diffusion stability bound theta*dx^2/(2d) = {_fmt(limit)}, got {_fmt(dt)}"
+                f"dt: violates the diffusion stability bound theta*dx^2/(2d) = {_fmt(limit)}, got {_fmt(c.dt)}"
             )
 
     if bad:
         raise ConfigError(bad)
-    return ExperimentConfig(
-        d=d, s=s, kmax=kmax, n_x=n_x, dt=dt, t_end=t_end, alphas=alphas,
-        nl_kind=nl_kind, nl_lambda=lam, j_mode=j_mode, j_file=j_file,
-        seed=seed, n_realizations=n_real, out_dir=out_dir, theta=theta,
-        save_every=save_every, mc_solve=mc_solve,
-    )
+    return ExperimentConfig(**vals)
 
 
 def serialize(cfg: ExperimentConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) == cfg."""
-    lines = [
-        f"d = {cfg.d}",
-        f"s = {_fmt(cfg.s)}",
-        f"kmax = {cfg.kmax}",
-        f"n_x = {cfg.n_x}",
-        f"dt = {_fmt(cfg.dt)}",
-        f"t_end = {_fmt(cfg.t_end)}",
-        "alpha = " + ", ".join(_fmt(a) for a in cfg.alphas),
-        f"nonlinearity = {cfg.nl_kind}",
-        f"lambda = {_fmt(cfg.nl_lambda)}",
-        f"j_mode = {cfg.j_mode}",
-    ]
-    if cfg.j_file is not None:
-        lines.append(f"j_file = {cfg.j_file}")
-    lines += [
-        f"seed = {cfg.seed}",
-        f"n_realizations = {cfg.n_realizations}",
-        f"out_dir = {cfg.out_dir}",
-        f"theta = {_fmt(cfg.theta)}",
-        f"save_every = {cfg.save_every}",
-        f"mc_solve = {'true' if cfg.mc_solve else 'false'}",
-    ]
+    """Canonical text form; parse(serialize(cfg)) == cfg.  A key whose value is None is left out."""
+    lines = []
+    for key, name, _, _, fmt in _KEYS:
+        value = getattr(cfg, name)
+        if value is not None:
+            lines.append(f"{key} = {fmt(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,6 +33,17 @@ from .spectral_noise import (
 
 class CampaignFailure(RuntimeError):
     """Raised when more than 1% of realizations fail."""
+
+
+def _plain(value):
+    """JSON-ready form of a report: dataclasses by their fields, arrays and sequences as lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
 
 
 @dataclass
@@ -237,26 +248,23 @@ def covariance_check(
     modes = make_mode_set(spec.d, spec.kmax)
     hk = 1j * modes.k[:, j]
 
-    # distinct (time, position) evaluations; precompute phases per position
+    # distinct (time, position) evaluations: their rows, phases, and each point's pair
     evals = sorted(
         {(p[0], tuple(p[1])) for p in pts} | {(p[2], tuple(p[3])) for p in pts}
     )
-    phases = {}
-    for (_, xt) in evals:
-        if xt not in phases:
-            phases[xt] = np.exp(1j * (modes.k @ np.asarray(xt)))
+    e_index = {e: i for i, e in enumerate(evals)}
+    rows = [t_index[t] for t, _ in evals]
+    phases = np.array([np.exp(1j * (modes.k @ np.asarray(xt))) for _, xt in evals])
+    first = [e_index[(p[0], tuple(p[1]))] for p in pts]
+    second = [e_index[(p[2], tuple(p[3]))] for p in pts]
 
     prods = np.empty((N, len(pts)))
     tarr = np.asarray(times, dtype=np.float64)
     # strictly increasing grid; sample_mode_states rejects duplicate times
     for r in range(N):
-        path = sample_mode_states(spec, tarr, seed, realization=r, modes=modes)
-        h_at = {
-            (t, xt): float(np.real(np.sum(hk * path.coeffs[t_index[t]] * phases[xt])))
-            for (t, xt) in evals
-        }
-        for q, (t, xa, t2, xb) in enumerate(pts):
-            prods[r, q] = h_at[(t, tuple(xa))] * h_at[(t2, tuple(xb))]
+        coeffs = sample_mode_states(spec, tarr, seed, realization=r, modes=modes).coeffs
+        h = np.real(np.sum(hk * coeffs[rows] * phases, axis=-1))
+        prods[r] = h[first] * h[second]
 
     mc = prods.mean(axis=0)
     se = prods.std(axis=0, ddof=1) / np.sqrt(N)
@@ -297,19 +305,7 @@ class IncrementScalingFit:
     n: int
     seed: int
 
-    def to_dict(self):
-        return {
-            "spatial_slope": self.spatial_slope,
-            "spatial_se": self.spatial_se,
-            "temporal_slope": self.temporal_slope,
-            "temporal_se": self.temporal_se,
-            "spatial_lags": self.spatial_lags.tolist(),
-            "temporal_lags": self.temporal_lags.tolist(),
-            "spatial_moments": self.spatial_moments.tolist(),
-            "temporal_moments": self.temporal_moments.tolist(),
-            "n": self.n,
-            "seed": self.seed,
-        }
+    to_dict = _plain
 
 
 def _slope_with_se(lags, means, ses):
@@ -413,8 +409,7 @@ class TailFit:
     ssr: float
     n: int
 
-    def to_dict(self):
-        return {"p": self.p, "c": self.c, "location": self.location, "ssr": self.ssr, "n": self.n}
+    to_dict = _plain
 
     def __iter__(self):
         return iter((self.p, self.c))
@@ -495,9 +490,6 @@ class GapLevel:
     theta_w: float
     theta_v: float
 
-    def to_dict(self):
-        return {"n_x": self.n_x, "n_save": self.n_save, "theta_w": self.theta_w, "theta_v": self.theta_v}
-
 
 @dataclass
 class GapStudy:
@@ -510,15 +502,7 @@ class GapStudy:
     seed: int
     realization: int
 
-    def to_dict(self):
-        return {
-            "levels": [l.to_dict() for l in self.levels],
-            "w_rel_change": self.w_rel_change,
-            "v_growth": list(self.v_growth),
-            "passed": self.passed,
-            "seed": self.seed,
-            "realization": self.realization,
-        }
+    to_dict = _plain
 
 
 GAP_LEVELS = ((64, 16), (128, 256), (256, 4096))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qspde import cli
-from qspde.config import ConfigError, config_hash, parse_config, serialize
+from qspde.config import ConfigError, ExperimentConfig, config_hash, parse_config, serialize
 from qspde.hoelder import c1alpha_seminorm, centered_gradient, seminorm_dyadic
 from qspde.spectral_noise import Field, read_qspd, write_qspd
 
@@ -131,6 +131,87 @@ def test_parse_j_file_coupling():
     with pytest.raises(ConfigError) as exc:
         parse_config(config_text(j_file="j0.qspd"))  # j_mode is still zero
     assert "j_file" in exc.value.violations[0]
+
+
+# (config text, every violation in the order parse_config reports it)
+VIOLATION_CASES = {
+    "many_rules": (
+        config_text(
+            d="2", s="2.0", kmax="0", n_x="3", dt="0.3", nonlinearity="cubic",
+            **{"lambda": "1.5"}, j_mode="maybe", seed="-1", n_realizations="0",
+        ) + "bogus = 7\nnot a key value line\n",
+        [
+            "line 14: expected 'key = value', got 'not a key value line'",
+            "bogus: unknown key",
+            "s: noise covariance is trace class only for s > d, got s = 2 with d = 2",
+            "kmax: must be >= 1, got 0",
+            "dt: t_end must be an integer multiple of dt, got t_end/dt = 3.3333333333333335",
+            "nonlinearity: must be one of identity, tanh_perturbed, got 'cubic'",
+            "lambda: ellipticity constant must lie in (0, 1], got 1.5",
+            "j_mode: must be one of zero, grad_v_negated, file, got 'maybe'",
+            "seed: must be >= 0, got -1",
+            "n_realizations: must be >= 1, got 0",
+            "n_x: dyadic norm estimation needs a power of two, got 3",
+        ],
+    ),
+    "types_duplicate_missing": (
+        config_text(
+            kmax="three", dt="fast", alpha="0.1, x", seed=None, theta="half",
+            mc_solve="yes", save_every="2.5",
+        ) + "n_x = 16\n",
+        [
+            "line 15: duplicate key 'n_x'",
+            "seed: required key missing",
+            "kmax: expected an integer, got 'three'",
+            "dt: expected a real, got 'fast'",
+            "alpha: expected a comma-separated list of reals, got '0.1, x'",
+            "theta: expected a real, got 'half'",
+            "save_every: expected an integer, got '2.5'",
+            "mc_solve: expected true or false, got 'yes'",
+        ],
+    ),
+    "cross_rules": (
+        config_text(
+            j_mode="file", n_x="16", save_every="3", alpha="0.2, 0.7",
+            mc_solve="true", dt="0.03125", t_end="0.5",
+        ),
+        [
+            "alpha: admissible exponents lie in (0, min((s-d)/2, 1)) = (0, 0.5), got 0.69999999999999996",
+            "j_file: required when j_mode = file",
+            "save_every: must divide n_steps = 16, got 3",
+            "dt: violates the diffusion stability bound theta*dx^2/(2d) = 0.0009765625, got 0.03125",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIOLATION_CASES))
+def test_parse_violations_pinned(name):
+    text, expected = VIOLATION_CASES[name]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.violations == expected
+
+
+def test_serialize_pinned_with_every_optional_key():
+    text = config_text(
+        dt="0.001953125", t_end="0.25", j_mode="file", j_file="j0.qspd", out_dir="runs/a",
+        theta="0.75", save_every="4", mc_solve="true", **{"lambda": "0.25"},
+    )
+    assert serialize(parse_config(text)) == (
+        "d = 1\ns = 2\nkmax = 3\nn_x = 8\ndt = 0.001953125\nt_end = 0.25\n"
+        "alpha = 0.29999999999999999\nnonlinearity = tanh_perturbed\nlambda = 0.25\n"
+        "j_mode = file\nj_file = j0.qspd\nseed = 101\nn_realizations = 12\n"
+        "out_dir = runs/a\ntheta = 0.75\nsave_every = 4\nmc_solve = true\n"
+    )
+
+
+def test_python_defaults_equal_parsed_defaults():
+    built = ExperimentConfig(
+        d=1, s=2.0, kmax=3, n_x=8, dt=0.0625, t_end=1.0, alphas=(0.3,),
+        nl_kind="tanh_perturbed", j_mode="zero", seed=101, n_realizations=12,
+    )
+    assert built == parse_config(config_text(**{"lambda": None}))
 
 
 def test_serialize_parse_idempotent():
@@ -262,6 +343,19 @@ def test_cli_seed_override_changes_hash_and_draws(tmp_path, capsys):
     va = read_qspd(tmp_path / "a" / "v.qspd")
     vb = read_qspd(tmp_path / "b" / "v.qspd")
     assert not np.array_equal(va.values, vb.values)
+
+
+@pytest.mark.parametrize(
+    "command", ["sample-noise", "solve", "norms", "mc", "verify-covariance", "verify-ellipticity"]
+)
+def test_cli_seed_override_is_validated(tmp_path, capsys, command):
+    cfgp = write_cfg(tmp_path)
+    out = tmp_path / "run"
+    rc, err = run_cli(capsys, [command, "--config", str(cfgp), "--seed", "-3", "--out", str(out)])
+    assert rc == 1
+    assert err["error"]["type"] == "validation"
+    assert err["error"]["messages"] == ["seed: must be >= 0, got -3"]
+    assert not out.exists()
 
 
 SOLVE_OVERRIDES = dict(dt="0.00390625", t_end="0.25", save_every="4", j_mode="grad_v_negated")

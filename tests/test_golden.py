@@ -14,7 +14,7 @@ import pytest
 
 from qspde import cli
 from qspde.hoelder import c1alpha_seminorm, centered_gradient, seminorm_dyadic
-from qspde.mc_harness import increment_scaling_fit, regularity_gap_study
+from qspde.mc_harness import covariance_check, increment_scaling_fit, regularity_gap_study
 from qspde.nonlinearity import builtin
 from qspde.solver import GRAD_V_NEGATED, SolverConfig, contraction_test, solve
 from qspde.spectral_noise import CovarianceSpec, Field, sample_mode_states
@@ -91,6 +91,23 @@ def test_golden_increment_scaling_fit():
     )
     expected = "2a4964d3c168a7de1450c23cec6096c857159087d8bf88f77c5e4af99add4a6c"
     assert _digest_json(fit.to_dict()) == expected
+
+
+@pytest.mark.parametrize(
+    "d, s, kmax, expected",
+    [
+        (1, 2.0, 7, "bda28647018ccc3d06c108a3e783bfc8b615b8263d73fa920def52d065689ea8"),
+        (2, 3.0, 3, "448794d5cf0e71f0b6257196bb5192ea75063e1a14c43de0d6d8ad36d7173658"),
+    ],
+    ids=["d1", "d2"],
+)
+def test_golden_covariance_check(d, s, kmax, expected):
+    # t = 0 rows give zero-variance points; the shifted offsets share times
+    offsets = [np.zeros(d), np.concatenate([[0.125], np.zeros(d - 1)])]
+    ts = (0.0, 0.5, 1.0)
+    points = [(t, off, t2, np.zeros(d)) for t in ts for t2 in ts for off in offsets]
+    chk = covariance_check(CovarianceSpec(d, s, kmax), points, N=40, seed=2017)
+    assert _digest_json(chk.to_dict()) == expected
 
 
 def test_golden_gap_study():
