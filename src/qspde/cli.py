@@ -107,14 +107,10 @@ def _cmd_sample_noise(cfg: ExperimentConfig, args) -> dict:
     path = _noise_path(cfg, 0)
     os.makedirs(cfg.out_dir, exist_ok=True)
     files = []
-    v = evaluate_field(path, cfg.n_x, mode="value")
-    fp = os.path.join(cfg.out_dir, "v.qspd")
-    write_qspd(fp, v)
-    files.append(fp)
-    for a in range(cfg.d):
-        g = evaluate_field(path, cfg.n_x, mode=("gradient", a))
-        fp = os.path.join(cfg.out_dir, f"grad_v_{a}.qspd")
-        write_qspd(fp, g)
+    fields = evaluate_field(path, cfg.n_x, ["value"] + [("gradient", a) for a in range(cfg.d)])
+    for name, f in zip(["v"] + [f"grad_v_{a}" for a in range(cfg.d)], fields):
+        fp = os.path.join(cfg.out_dir, f"{name}.qspd")
+        write_qspd(fp, f)
         files.append(fp)
     meta = _meta(cfg, "sample-noise", {"files": [os.path.basename(f) for f in files]})
     mp = os.path.join(cfg.out_dir, "sample_noise_meta.json")

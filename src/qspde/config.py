@@ -15,6 +15,7 @@ config_hash identifies an experiment.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import MISSING, dataclass, fields
 from types import SimpleNamespace
 from typing import Optional, Tuple
@@ -154,9 +155,12 @@ def parse_config(text: str) -> ExperimentConfig:
         bad.append(f"t_end: must be > 0, got {_fmt(c.t_end)}")
     n_steps = None
     if c.dt is not None and c.t_end is not None and c.dt > 0 and c.t_end > 0:
-        n_steps = int(round(c.t_end / c.dt))
-        if abs(n_steps * c.dt - c.t_end) > 1e-9 * max(1.0, c.t_end) or n_steps < 1:
-            bad.append(f"dt: t_end must be an integer multiple of dt, got t_end/dt = {_fmt(c.t_end / c.dt)}")
+        ratio = c.t_end / c.dt
+        n_steps = int(round(ratio)) if math.isfinite(ratio) else None
+        if n_steps is None:
+            bad.append(f"t_end: must be a finite multiple of dt, got t_end/dt = {_fmt(ratio)}")
+        elif abs(n_steps * c.dt - c.t_end) > 1e-9 * max(1.0, c.t_end) or n_steps < 1:
+            bad.append(f"dt: t_end must be an integer multiple of dt, got t_end/dt = {_fmt(ratio)}")
             n_steps = None
     if c.alphas is not None:
         if not c.alphas:

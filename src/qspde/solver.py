@@ -14,11 +14,12 @@ normalized to one, so the bound carries no nonlinearity constant).
 
 One kernel, _FluxMarch, does every step.  It marches a batch of slabs
 shaped (B,) + grid with slice differences into buffers allocated once
-per march; grad v is evaluated once per row, in spectral blocks, and
-averaged onto faces once per block.  solve marches B = 1 and
-contraction_test marches its pair as B = 2 with a hook that sums the
-dissipation.  Every output equals, bit for bit, that of the np.roll
-formulation which tests/test_solver.py keeps as the oracle.
+per march, in blocks of _BLOCK steps: grad v is evaluated once per row
+and averaged onto faces once per block, the states go into a ring, and
+the means, the finiteness check and the saves are taken once per block.
+solve marches B = 1 and contraction_test its pair as B = 2 with a hook
+that sums the dissipation.  Every output equals, bit for bit, that of
+the np.roll formulation kept as the test oracle, at any block size.
 
 The built-in nonlinearities act componentwise, so the flux through a
 face normal to axis a needs only component a of the argument.
@@ -26,14 +27,14 @@ face normal to axis a needs only component a of the argument.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from .nonlinearity import Nonlinearity
-from .spectral_noise import _BLOCK, NoisePath, _spectral_slabs
+from .spectral_noise import NoisePath, _spectral_slabs
 
 # j_source sentinel: wire j = -grad v, so the full right-hand side of the
 # reconstructed equation matches the linear one driving v.  The divergence
@@ -43,6 +44,10 @@ from .spectral_noise import _BLOCK, NoisePath, _spectral_slabs
 GRAD_V_NEGATED = "grad_v_negated"
 
 JSource = Union[None, str, np.ndarray, Callable[[float], np.ndarray]]
+
+# steps per march block, small enough that a block's spectral slabs and
+# its ring of states stay in cache at the grids the lab runs
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ class SolverConfig:
                 f"CFL violation: dt={self.dt} exceeds theta*dx^2/(2d)={limit}"
             )
         steps = self.t_end / self.dt
-        if abs(steps - round(steps)) > 1e-9:
+        if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
             raise ValueError("t_end must be an integer multiple of dt")
 
     @property
@@ -162,16 +167,22 @@ class _FluxMarch:
     layer per axis, written into face buffers allocated once per march.
     Each step runs the ufuncs of the np.roll formulation on the same
     operands, so its output is bitwise that formulation's.  grad v and j
-    arrive already averaged onto faces, shape (d,) + grid, shared by
-    every row of the batch.
+    arrive already averaged onto faces, shape (d,) + grid per step,
+    shared by every row of the batch.  The states live in a ring shaped
+    (block + 1, B) + grid: step k of a block reads ring[k] and writes
+    ring[k + 1].
     """
 
-    def __init__(self, d: int, n_x: int, nl: Nonlinearity, batch: int):
+    def __init__(self, d: int, n_x: int, nl: Nonlinearity, batch: int, block: int = 1):
         self.nl = nl
-        self.dx = 1.0 / n_x
+        self.dx = np.array(1.0 / n_x)  # a 0-d array divides faster than a float
         shape = (batch,) + (n_x,) * d
-        self._g, self._q, self._f, self._o, self._div = (np.empty(shape) for _ in range(5))
-        self._axes = [_layers(d, n_x, a) for a in range(d)]
+        g, self._q, self._f, o, self._div = (np.empty(shape) for _ in range(5))
+        self._g, self._o, self._zero = g, o, np.zeros(shape)
+        # per axis: head, tail, first, last and the face views every step writes
+        layers = [_layers(d, n_x, a) for a in range(d)]
+        self._axes = [lay + (g[lay[0]], g[lay[3]], o[lay[1]], o[lay[2]]) for lay in layers]
+        self.ring = np.zeros((block + 1,) + shape)
 
     def divergence(self, w, gvf=None, jf=None, hook=None) -> np.ndarray:
         """Backward divergence of A(grad w + gvf) + jf, into a reused buffer.
@@ -179,49 +190,54 @@ class _FluxMarch:
         hook(g, f), when given, sees each axis's face gradient of w and
         flux A(g + gvf) before j is added.
         """
-        div, dx = self._div, self.dx
-        div.fill(0.0)
-        for a, (head, tail, first, last) in enumerate(self._axes):
-            g = self._g
-            np.subtract(w[tail], w[head], g[head])
-            np.subtract(w[first], w[last], g[last])
+        div, dx, g, o = self._div, self.dx, self._g, self._o
+        for a, (head, tail, first, last, g_head, g_last, o_tail, o_first) in enumerate(self._axes):
+            np.subtract(w[tail], w[head], g_head)
+            np.subtract(w[first], w[last], g_last)
             np.true_divide(g, dx, g)
             f = self.nl.a(g if gvf is None else np.add(g, gvf[a], self._q))
             if hook is not None:
                 hook(g, f)
             if jf is not None:
                 f = np.add(f, jf[a], self._f)
-            o = self._o
-            np.subtract(f[tail], f[head], o[tail])
-            np.subtract(f[first], f[last], o[first])
+            np.subtract(f[tail], f[head], o_tail)
+            np.subtract(f[first], f[last], o_first)
             np.true_divide(o, dx, o)
-            np.add(div, o, div)
+            np.add(div if a else self._zero, o, div)  # starts at +0, so -0 becomes +0
         return div
 
-    def advance(self, w, t, dt, gvf=None, jf=None, src=None, hook=None) -> list:
-        """w += dt*(divergence + src) in place; returns each row's spatial mean.
+    def advance_block(self, lo, n, dt, gvf=None, src=None, j_faces=None, hook=None) -> np.ndarray:
+        """Steps lo .. lo+n-1 from ring[0]; returns the (n, B) spatial means.
 
-        A non-finite node aborts with its batch row and node named.  Any
-        non-finite node makes the row's sum non-finite, so the nodes are
-        scanned only then; a finite row whose sum overflows goes on.
+        Step i = lo + k adds dt*(divergence + src[k]) with grad v faces
+        gvf[k] and j faces j_faces(i*dt); hook(i, g, f) is the divergence
+        hook of step i.  ring[k + 1] holds the states after step i.
+
+        A non-finite node aborts naming the time, batch row and node of the
+        first step that made one; the flux may see non-finite values for
+        the rest of the block.  A row's nodes are scanned only when its
+        mean is not finite, so a finite row whose sum overflows goes on.
         """
-        div = self.divergence(w, gvf, jf, hook)
-        if src is not None:
-            np.add(div, src, div)
-        np.multiply(div, dt, div)
-        np.add(w, div, w)
-        means = []
-        for b, row in enumerate(w):
-            mean = float(np.add.reduce(row, None)) / row.size  # == row.mean()
-            if not math.isfinite(mean):
-                bad = np.argwhere(~np.isfinite(row))
-                if bad.size:
-                    copy = f", copy {b}" if w.shape[0] > 1 else ""
-                    raise FloatingPointError(
-                        f"solver produced a non-finite value at t={t:.9g}{copy}, "
-                        f"node {tuple(int(i) for i in bad[0])}"
-                    )
-            means.append(mean)
+        ring, step = self.ring, np.array(dt)
+        for k, i in enumerate(range(lo, lo + n)):
+            jf = None if j_faces is None else j_faces(i * dt)
+            h = None if hook is None else functools.partial(hook, i)
+            div = self.divergence(ring[k], None if gvf is None else gvf[k], jf, h)
+            if src is not None:
+                np.add(div, src[k], div)
+            np.multiply(div, step, div)
+            np.add(ring[k], div, ring[k + 1])
+        states = ring[1 : n + 1]
+        # bitwise row.mean() for every row of every state
+        means = np.add.reduce(states.reshape(n, states.shape[1], -1), -1) / states[0, 0].size
+        for k, b in np.argwhere(~np.isfinite(means)):  # step order, then row
+            bad = np.argwhere(~np.isfinite(states[k, b]))
+            if bad.size:
+                copy = f", copy {b}" if means.shape[1] > 1 else ""
+                raise FloatingPointError(
+                    f"solver produced a non-finite value at t={(lo + int(k)) * dt:.9g}{copy}, "
+                    f"node {tuple(int(i) for i in bad[0])}"
+                )
         return means
 
 
@@ -263,32 +279,38 @@ def _resolve_j(j_source: JSource, cfg: SolverConfig):
     return False, lambda t: jf
 
 
-def _forcing(cfg: SolverConfig, noise: NoisePath, ratio, j_source, grad_v_out=None, save_every=1):
-    """Yield (t, grad v on faces, j on faces, div j source) for each step.
+def _keep(rows, n0, every, out):
+    """Copy rows[m], the row of index n0 + m, into out[(n0 + m) // every] when every divides n0 + m."""
+    first = -(-n0 // every)
+    kept = rows[first * every - n0 :: every]
+    out[first : first + kept.shape[0]] = kept
+
+
+def _march(cfg: SolverConfig, noise: NoisePath, ratio, j_source, w0, grad_v_out=None, save_every=1, hook=None):
+    """March the batch w0, shape (B,) + grid; yield (lo, states, means) per block.
 
     Step i reads noise row i*ratio.  grad v (and div j for the
-    grad_v_negated wiring) is evaluated _BLOCK steps at a time and
-    averaged onto faces once per block; when grad_v_out is given, the raw
-    grad v of every save_every-th step i is first copied into its row
-    i // save_every.
+    grad_v_negated wiring) is evaluated _BLOCK steps at a time; when
+    grad_v_out is given, the raw grad v of every save_every-th step i is
+    copied into its row i // save_every.  states[k] is the batch after
+    step lo + k, a view the next block overwrites, and means[k] its rows'
+    spatial means.
     """
     spectral_j, j_faces = _resolve_j(j_source, cfg)
-    d = cfg.d
+    d, n_steps = cfg.d, cfg.n_steps
     parts = tuple(range(d)) + (("div_j",) if spectral_j else ())
-    for lo in range(0, cfg.n_steps, _BLOCK):
-        hi = min(lo + _BLOCK, cfg.n_steps)
-        coeffs = noise.coeffs[lo * ratio : hi * ratio : ratio]
-        block = _spectral_slabs(noise.modes, coeffs, cfg.n_x, parts)
+    march = _FluxMarch(d, cfg.n_x, cfg.nl, w0.shape[0], min(_BLOCK, n_steps))
+    march.ring[0] = w0
+    for lo in range(0, n_steps, _BLOCK):
+        n = min(_BLOCK, n_steps - lo)
+        block = _spectral_slabs(noise.modes, noise.coeffs[lo * ratio : (lo + n) * ratio : ratio], cfg.n_x, parts)
         gv = block[:, :d]
         if grad_v_out is not None:
-            first = -(-lo // save_every) * save_every  # first save step in the block
-            kept = gv[first - lo :: save_every]
-            grad_v_out[first // save_every : first // save_every + kept.shape[0]] = kept
+            _keep(gv, lo, save_every, grad_v_out)
         _face_average(gv, d, gv)
-        for i, row in enumerate(block, lo):
-            t = i * cfg.dt
-            jf = j_faces(t) if j_faces is not None else None
-            yield t, row[:d], jf, (row[d] if spectral_j else None)
+        means = march.advance_block(lo, n, cfg.dt, gv, block[:, d] if spectral_j else None, j_faces, hook)
+        yield lo, march.ring[1 : n + 1], means
+        march.ring[0] = march.ring[n]
 
 
 def solve(
@@ -314,19 +336,12 @@ def solve(
     save_rows = np.arange(0, n_steps + 1, save_every) * ratio
     grid = (cfg.n_x,) * cfg.d
     grad_v = np.empty((save_rows.size, cfg.d) + grid)
-    march = _FluxMarch(cfg.d, cfg.n_x, cfg.nl, 1)
-    w = np.zeros((1,) + grid)
-    saves = np.empty((save_rows.size,) + grid)
-    saves[0] = w[0]
+    saves = np.zeros((save_rows.size,) + grid)
     max_mean = 0.0
-    steps = _forcing(cfg, noise, ratio, j_source, grad_v, save_every)
-    for i, (t, gvf, jf, src) in enumerate(steps):
-        (mean,) = march.advance(w, t, cfg.dt, gvf, jf, src)
-        max_mean = max(max_mean, abs(mean))
-        if (i + 1) % save_every == 0:
-            saves[(i + 1) // save_every] = w[0]
-    # the last block's views keep it alive; drop them before v is evaluated
-    gvf = src = None
+    for lo, states, means in _march(cfg, noise, ratio, j_source, np.zeros((1,) + grid), grad_v, save_every):
+        # fmax skips NaN means, as a running max() over the steps would
+        max_mean = max(max_mean, float(np.fmax.reduce(np.abs(means), None)))
+        _keep(states[:, 0], lo + 1, save_every, saves)
 
     # the march never reads the last row, so only its grad v is left
     _spectral_slabs(noise.modes, noise.coeffs[save_rows[-1:]], cfg.n_x, range(cfg.d), grad_v[-1:])
@@ -380,35 +395,30 @@ def contraction_test(
         raise ValueError("epsilon must be >= 0")
     ratio = _noise_alignment(cfg, noise)
     n_steps = cfg.n_steps
-    march = _FluxMarch(cfg.d, cfg.n_x, cfg.nl, 2)
-
     grid = (cfg.n_x,) * cfg.d
     cell = cfg.dx**cfg.d
-    w = np.zeros((2,) + grid)
+    w0 = np.zeros((2,) + grid)
     rng = np.random.default_rng(seed)
     pert = rng.standard_normal(grid)
     pert -= pert.mean()
     peak = np.max(np.abs(pert))
     if epsilon > 0 and peak > 0:
-        w[1] = pert * (epsilon / peak)
-
-    def l2(a, b):
-        return float(np.sqrt(np.sum((a - b) ** 2) * cell))
+        w0[1] = pert * (epsilon / peak)
 
     distances = np.empty(n_steps + 1)
     dissipation = np.zeros(n_steps)
-    distances[0] = l2(w[0], w[1])
-    mean0 = [float(row.mean()) for row in w]
+    distances[0] = np.sqrt(np.sum((w0[0] - w0[1]) ** 2) * cell)
+    mean0 = np.array([float(row.mean()) for row in w0])
     drift = 0.0
 
-    def dissipate(g, f):
+    def dissipate(i, g, f):
         # sum over the faces normal to one axis of (G1-G2).(A(G1+gv)-A(G2+gv))
         dissipation[i] += float(np.sum((g[0] - g[1]) * (f[0] - f[1]))) * cell
 
-    for i, (t, gvf, jf, src) in enumerate(_forcing(cfg, noise, ratio, j_source)):
-        means = march.advance(w, t, cfg.dt, gvf, jf, src, dissipate)
-        distances[i + 1] = l2(w[0], w[1])
-        drift = max(drift, *(abs(m - m0) for m, m0 in zip(means, mean0)))
+    for lo, states, means in _march(cfg, noise, ratio, j_source, w0, hook=dissipate):
+        sq = ((states[:, 0] - states[:, 1]) ** 2).reshape(len(states), -1)
+        distances[lo + 1 : lo + 1 + len(sq)] = np.sqrt(np.add.reduce(sq, -1) * cell)
+        drift = max(drift, float(np.fmax.reduce(np.abs(means - mean0), None)))
 
     passed = bool(
         np.min(dissipation) >= -1e-10

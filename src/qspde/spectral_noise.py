@@ -317,8 +317,6 @@ class NoisePath:
 
 # rows of normals drawn and filtered at a time on the uniform-grid path
 _CHUNK = 8192
-# rows of grad v (and div j) evaluated at a time for a march
-_BLOCK = 2048
 
 
 def sample_mode_states(
@@ -449,24 +447,30 @@ def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, parts, out=Non
     return out
 
 
-def evaluate_field(path: NoisePath, n_x: int, mode="value") -> Field:
+def evaluate_field(path: NoisePath, n_x: int, mode="value"):
     """Evaluate a NoisePath as a real Field on the uniform n_x grid.
 
     mode is "value" for the scalar field or ("gradient", j) for the j-th
-    gradient component (weights i*k_j).  Requires a uniform time grid and
+    gradient component (weights i*k_j); a list of modes gives a list of
+    Fields from one spectral pass.  Requires a uniform time grid and
     n_x >= 2*kmax + 2 so retained modes occupy distinct FFT bins.
     """
-    if mode == "value":
-        part = "v"
-    elif isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "gradient":
-        part = int(mode[1])
-        if not 0 <= part < path.modes.d:
-            raise ValueError(f"gradient axis {part} out of range for d={path.modes.d}")
-    else:
-        raise ValueError(f"unknown evaluation mode {mode!r}")
+    parts = []
+    for m in mode if isinstance(mode, list) else [mode]:
+        if m == "value":
+            parts.append("v")
+        elif isinstance(m, tuple) and len(m) == 2 and m[0] == "gradient":
+            parts.append(int(m[1]))
+            if not 0 <= parts[-1] < path.modes.d:
+                raise ValueError(f"gradient axis {parts[-1]} out of range for d={path.modes.d}")
+        else:
+            raise ValueError(f"unknown evaluation mode {m!r}")
     dt = path.dt  # raises on non-uniform grids
-    values = _spectral_slabs(path.modes, path.coeffs, n_x, (part,))[:, 0]
-    return Field(values, dt=dt, t_start=float(path.times[0]))
+    # component-major, so that each Field's values are contiguous
+    values = np.empty((len(parts), path.coeffs.shape[0]) + (n_x,) * path.modes.d)
+    _spectral_slabs(path.modes, path.coeffs, n_x, parts, values.swapaxes(0, 1))
+    out = [Field(v, dt=dt, t_start=float(path.times[0])) for v in values]
+    return out if isinstance(mode, list) else out[0]
 
 
 def covariance_closed_form(spec: CovarianceSpec, j: int, t: float, t_prime: float, r) -> float:

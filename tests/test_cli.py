@@ -278,6 +278,16 @@ def test_cli_bad_config_lists_violations(tmp_path, capsys):
     assert "trace class" in msgs and "seed" in msgs
 
 
+@pytest.mark.parametrize("t_end", ["inf", "1e308"])
+def test_cli_t_end_without_finite_step_count_is_validation_error(tmp_path, capsys, t_end):
+    # t_end/dt overflows to inf, which has no integer step count
+    cfgp = write_cfg(tmp_path, t_end=t_end)
+    rc, err = run_cli(capsys, ["sample-noise", "--config", str(cfgp), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert err["error"]["type"] == "validation"
+    assert err["error"]["messages"] == ["t_end: must be a finite multiple of dt, got t_end/dt = inf"]
+
+
 def test_cli_usage_error(tmp_path, capsys):
     rc, err = run_cli(capsys, ["frobnicate", "--config", "x"])
     assert rc == 1

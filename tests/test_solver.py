@@ -59,11 +59,22 @@ def flux_divergence(w, grad_v=None, j=None, nl=IDENT):
 
 
 def step(w, t, cfg, grad_v=None, j=None, source=None):
-    """One B = 1 explicit Euler update w + dt*(flux divergence + source)."""
-    out = np.array(w, dtype=np.float64)[None]
+    """One B = 1 explicit Euler update w + dt*(flux divergence + source).
+
+    It runs as a one-step block of the march, as step t/dt of a solve.
+    """
+    march = _FluxMarch(cfg.d, cfg.n_x, cfg.nl, 1)
+    march.ring[0] = w
     gvf, jf = _on_faces(grad_v, cfg.d), _on_faces(j, cfg.d)
-    _FluxMarch(cfg.d, cfg.n_x, cfg.nl, 1).advance(out, t, cfg.dt, gvf, jf, source)
-    return out[0]
+    march.advance_block(
+        round(t / cfg.dt),
+        1,
+        cfg.dt,
+        None if gvf is None else gvf[None],
+        None if source is None else source[None],
+        None if jf is None else (lambda t: jf),
+    )
+    return march.ring[1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +192,22 @@ def test_batch_march_matches_single_marches_bitwise(d, n_x):
     grid = (n_x,) * d
     dt = 0.25 / (n_x * n_x * 2 * d)
     both = np.stack([_random_slab(rng, grid), _random_slab(rng, grid)])
-    rows = [both[b : b + 1].copy() for b in range(2)]
-    batch = _FluxMarch(d, n_x, TANH, 2)
-    singles = [_FluxMarch(d, n_x, TANH, 1) for _ in range(2)]
-    for i in range(6):
-        gvf, jf = rng.standard_normal((2, d) + grid)
-        src = rng.standard_normal(grid)
-        means = batch.advance(both, i * dt, dt, gvf, jf, src)
-        for b in range(2):
-            (mean,) = singles[b].advance(rows[b], i * dt, dt, gvf, jf, src)
-            assert mean == means[b] == float(rows[b].mean())
-    assert both.tobytes() == np.concatenate(rows).tobytes()
+    gvf, jfs = rng.standard_normal((2, 6, d) + grid)
+    src = rng.standard_normal((6,) + grid)
+
+    def j_faces(t):
+        return jfs[round(t / dt)]
+
+    batch = _FluxMarch(d, n_x, TANH, 2, block=6)
+    batch.ring[0] = both
+    means = batch.advance_block(0, 6, dt, gvf, src, j_faces)
+    for b in range(2):
+        single = _FluxMarch(d, n_x, TANH, 1, block=6)
+        single.ring[0] = both[b]
+        (row_means,) = single.advance_block(0, 6, dt, gvf, src, j_faces).T
+        assert row_means.tobytes() == means[:, b].tobytes()
+        assert list(row_means) == [float(w.mean()) for w in single.ring[1:, 0]]
+        assert single.ring[1:, 0].tobytes() == batch.ring[1:, b].tobytes()
 
 
 def test_finite_field_whose_sum_overflows_does_not_abort():
@@ -359,6 +375,48 @@ def test_solve_evaluates_each_grad_v_row_once(monkeypatch, d, save_every, block)
     assert traj.grad_v.tobytes() == once.tobytes()
 
 
+def _solve_block_cases():
+    # blocks of 3 and 7 steps put save rows on and across their edges;
+    # 600 steps also take the default block size more than once
+    for d, n_steps, save_every in ((1, 600, 4), (2, 84, 3)):
+        for j_kind in ("zero", "grad_v_negated", "callable"):
+            yield d, n_steps, save_every, j_kind
+
+
+@pytest.mark.parametrize("d, n_steps, save_every, j_kind", list(_solve_block_cases()))
+def test_solve_is_bitwise_independent_of_block_size(monkeypatch, d, n_steps, save_every, j_kind):
+    n_x, dt = 8, 2.0**-10
+    path = uniform_path(d, 2.0 if d == 1 else 3.0, 3, dt, n_steps, seed=43)
+    cfg = SolverConfig(d=d, n_x=n_x, dt=dt, t_end=n_steps * dt, nl=TANH)
+    j = np.random.default_rng(8).standard_normal((d,) + (n_x,) * d)
+    j_source = {"zero": None, "grad_v_negated": GRAD_V_NEGATED, "callable": lambda t: j * np.cos(9.0 * t)}
+
+    def run(block):
+        monkeypatch.setattr(solver, "_BLOCK", block)
+        traj = solve(cfg, path, j_source[j_kind], save_every=save_every)
+        return [traj.w.tobytes(), traj.v.tobytes(), traj.grad_v.tobytes(), repr(traj.mean_drift_rate)]
+
+    default = run(solver._BLOCK)
+    for block in (1, 3, 7):
+        assert run(block) == default, block
+
+
+@pytest.mark.parametrize("d, n_steps", [(1, 600), (2, 84)])
+def test_contraction_is_bitwise_independent_of_block_size(monkeypatch, d, n_steps):
+    dt = 2.0**-10
+    path = uniform_path(d, 2.0 if d == 1 else 3.0, 3, dt, n_steps, seed=44)
+    cfg = SolverConfig(d=d, n_x=8, dt=dt, t_end=n_steps * dt, nl=TANH)
+
+    def run(block):
+        monkeypatch.setattr(solver, "_BLOCK", block)
+        rep = contraction_test(cfg, path, GRAD_V_NEGATED, epsilon=1e-3, seed=5)
+        return [rep.distances.tobytes(), rep.dissipation.tobytes(), repr(rep.mean_drift_rate)]
+
+    default = run(solver._BLOCK)
+    for block in (1, 3, 7):
+        assert run(block) == default, block
+
+
 def test_mean_conserved_under_tanh_flux():
     cfg = SolverConfig(d=1, n_x=32, dt=2.0**-12, t_end=0.125, nl=TANH)
     path = uniform_path(1, 2.0, 7, 2.0**-12, 512, seed=5)
@@ -455,6 +513,49 @@ def test_contraction_divergence_names_copy_and_node():
             contraction_test(dataclasses.replace(cfg, nl=blow), path, epsilon=1e-3, seed=4)
     msg = str(exc.value)
     assert "non-finite" in msg and "t=0," in msg and "copy 1" in msg and "node (" in msg
+
+
+def _blowing_up_at(call, node):
+    """The tanh flux, except that call number `call` returns +inf at node of the last row."""
+    calls = []
+
+    def a(q):
+        out = TANH.a(q)
+        if len(calls) == call:
+            out[(-1,) + node] = np.inf
+        calls.append(call)
+        return out
+
+    return Nonlinearity("blows_up", TANH.lam, TANH.Lam, a, TANH.da)
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_blow_up_mid_block_names_the_step_by_step_location(monkeypatch, batch):
+    # an inf flux at face 5 in step 37 makes nodes 5 and 6 non-finite;
+    # blocks of one step are the step-by-step march, and step 37 lies
+    # inside a block of 7 steps and inside the default block
+    dt, n_steps = 2.0**-10, 128
+    path = uniform_path(1, 2.0, 5, dt, n_steps, seed=7)
+    copy = ", copy 1" if batch == 2 else ""
+    expected = f"solver produced a non-finite value at t={37 * dt:.9g}{copy}, node (5,)"
+
+    def message(block):
+        monkeypatch.setattr(solver, "_BLOCK", block)
+        cfg = SolverConfig(d=1, n_x=16, dt=dt, t_end=n_steps * dt, nl=_blowing_up_at(37, (5,)))
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
+            if batch == 1:
+                solve(cfg, path, GRAD_V_NEGATED)
+            else:
+                contraction_test(cfg, path, GRAD_V_NEGATED, epsilon=1e-3, seed=1)
+        return str(exc.value)
+
+    default = solver._BLOCK
+    assert [message(block) for block in (1, 7, default)] == [expected] * 3
+
+
+def test_non_finite_step_count_rejected():
+    with pytest.raises(ValueError, match="multiple"):
+        SolverConfig(d=1, n_x=16, dt=2.0**-10, t_end=np.inf, nl=IDENT)
 
 
 def test_contraction_rejects_negative_epsilon():

@@ -504,6 +504,28 @@ def test_evaluate_d2_gradient_components_differ():
     assert not np.allclose(g0, g1)
 
 
+def test_evaluate_mode_list_is_one_pass_of_the_single_fields(monkeypatch):
+    spec = CovarianceSpec(2, 3.0, 3)
+    path = sample_mode_states(spec, np.linspace(0.0, 0.5, 9), seed=4)
+    modes = ["value", ("gradient", 0), ("gradient", 1)]
+    singles = [evaluate_field(path, 8, mode=m) for m in modes]
+    parts = []
+    slabs = spectral_noise._spectral_slabs
+
+    def counting(modes, coeffs, n_x, p, out=None):
+        parts.append(list(p))
+        return slabs(modes, coeffs, n_x, p, out)
+
+    monkeypatch.setattr(spectral_noise, "_spectral_slabs", counting)
+    fields = evaluate_field(path, 8, modes)
+    assert parts == [["v", 0, 1]]
+    for f, g in zip(fields, singles):
+        assert f.values.tobytes() == g.values.tobytes() and f.values.flags.c_contiguous
+        assert (f.dt, f.t_start) == (g.dt, g.t_start)
+    with pytest.raises(ValueError, match="out of range"):
+        evaluate_field(path, 8, ["value", ("gradient", 2)])
+
+
 # ---------------------------------------------------------------------------
 # closed-form covariance
 
