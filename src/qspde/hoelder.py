@@ -156,8 +156,9 @@ def seminorm_dyadic(f: Field, alpha: float) -> HoelderReport:
 
     Scan order for the witness: scales coarse to fine, time offset 0..3,
     spatial offsets lexicographic over {-1,0,1}^d, then row-major grid
-    position; the first strict maximum wins.  Expects a finite field: a
-    NaN increment never beats the running max, so it is not counted.
+    position; the first strict maximum wins.  At time offset 0 the mirror
+    -o of an earlier offset o is skipped: it has the same |differences|, so
+    it cannot win.  A NaN increment raises ValueError naming a NaN sample.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
@@ -177,35 +178,39 @@ def seminorm_dyadic(f: Field, alpha: float) -> HoelderReport:
     best = 0.0
     best_pair = None
     best_R = None
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=d)]
+    offsets = list(itertools.product((-1, 0, 1), repeat=d))
     for n, R, st, sx in levels:
         sub = vals[(slice(None, None, st),) + (slice(None, None, sx),) * d]
-        m_t = sub.shape[0]
+        m_t, cells = sub.shape[:2]
+        roll = {}
+        for o in (-1, 0, 1):  # (into, from) slices with into[i] = from[(i + o) % cells]: np.roll by -o
+            k = o % cells
+            roll[o] = [(slice(0, cells - k), slice(k, cells)), (slice(cells - k, cells), slice(0, k))][: 2 if k else 1]
+        plan = [  # per offset, the (into, from) index pairs of its periodic pieces
+            (off, [tuple((slice(None),) + s for s in zip(*p)) for p in itertools.product(*(roll[o] for o in off))])
+            for off in offsets
+        ]
+        buf = np.empty(sub.shape)
         scale = R**-alpha
         for dt_idx in range(0, min(4, m_t)):
             lead = sub[dt_idx:]
-            base = sub[: m_t - dt_idx] if dt_idx else sub
-            for off in offsets:
-                if dt_idx == 0 and all(o == 0 for o in off):
-                    continue
-                shifted = lead
-                for a, o in enumerate(off):
-                    if o:
-                        shifted = np.roll(shifted, -o, axis=1 + a)
-                diff = np.abs(shifted - base)
-                pos = int(np.argmax(diff))
-                m = float(diff.ravel()[pos])
+            base = sub[: m_t - dt_idx]
+            diff = buf[: m_t - dt_idx]
+            for off, pieces in plan if dt_idx else plan[: len(plan) // 2]:
+                for into, frm in pieces:
+                    np.subtract(lead[frm], base[into], out=diff[into])
+                m = float(max(diff.max(), -diff.min()))
                 if m * scale > best:
                     best = m * scale
                     best_R = R
-                    idx = np.unravel_index(pos, diff.shape)
-                    i_t = idx[0]
-                    p = idx[1:]
+                    i_t, *p = np.unravel_index(np.argmax(np.abs(diff, out=diff)), diff.shape)
                     t1 = f.t_start + (i_t + dt_idx) * st * f.dt
                     t0 = f.t_start + i_t * st * f.dt
                     x1 = tuple(((pi + o) * sx % f.n_x) * f.dx for pi, o in zip(p, off))
                     x0 = tuple((pi * sx) * f.dx for pi in p)
                     best_pair = ((t1, x1), (t0, x0))
+                elif m != m:
+                    raise _nan_error(sub, st, sx)
     return HoelderReport(
         alpha=alpha,
         naive=None,
@@ -214,6 +219,13 @@ def seminorm_dyadic(f: Field, alpha: float) -> HoelderReport:
         domain=_domain_of(f),
         level_R=best_R,
     )
+
+
+def _nan_error(sub: np.ndarray, st: int = 1, sx: int = 1) -> ValueError:
+    """Names the first NaN of sub, a field read every st-th time and sx-th node, else its first inf (inf - inf)."""
+    i_t, *node = np.argwhere(np.isnan(sub) if np.isnan(sub).any() else np.isinf(sub))[0].tolist()
+    where = f"time index {i_t * st}, node {tuple(i * sx for i in node)}"
+    return ValueError(f"NaN increment: sample {sub[(i_t, *node)]} at {where}")
 
 
 def centered_gradient(f: Field) -> np.ndarray:
@@ -237,11 +249,7 @@ def centered_gradient(f: Field) -> np.ndarray:
     pieces = (((1, n - 1), (2, n), (0, n - 2)), (at(0), at(1), at(-1)), (at(n - 1), at(n), at(n - 2)))
     for a in range(f.d):
         for rows, plus, minus in pieces:  # the interior is empty for n <= 2
-            # copy, then subtract in place: no temporary is made, and np.subtract
-            # stays one call per scanned lag of the temporal quotient (tests count it)
-            out = cut(grad[:, a], 1 + a, rows)
-            np.copyto(out, cut(vals, 1 + a, plus))
-            out -= cut(vals, 1 + a, minus)
+            np.subtract(cut(vals, 1 + a, plus), cut(vals, 1 + a, minus), out=cut(grad[:, a], 1 + a, rows))
     grad /= 2.0 * f.dx
     return grad
 
@@ -292,8 +300,8 @@ def c1alpha_seminorm(w: Field, grad_w: np.ndarray, alpha: float) -> float:
     window and rounding is monotone, so no rounded increment exceeds the
     rounded bound and a skipped pair cannot raise the sup: the result is
     bitwise the exhaustive scan's.  A NaN bound is never skipped, and a
-    lag whose every site is skipped costs no subtraction.  Expects finite
-    fields: a NaN increment never beats the running sup, so it is not counted.
+    lag whose every site is skipped costs no subtraction.  A NaN increment
+    raises ValueError naming a NaN sample.
     """
     if grad_w.shape != (w.n_t, w.d) + w.values.shape[1:]:
         raise ValueError("grad_w shape does not match the field grid")
@@ -339,5 +347,7 @@ def _temporal_sup(w: Field, alpha: float) -> float:
             rows, k = series, n_sites  # scanning every site needs no second copy
         diff = np.subtract(rows[:, lag:], rows[:, :-lag], out=buf[: k * span].reshape(k, span))
         m = float(np.abs(diff, out=diff).max())
+        if m != m:
+            raise _nan_error(w.values)
         temporal = max(temporal, m / denom)
     return temporal

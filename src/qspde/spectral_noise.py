@@ -11,6 +11,7 @@ exact law of the continuum object regardless of step size.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from dataclasses import dataclass, field as dc_field
@@ -407,6 +408,9 @@ def _to_complex(z, ksq):
 # field evaluation and the closed-form covariance
 
 
+_FFT_BLOCK_BYTES = 1 << 20  # size of each complex row block that _spectral_slabs transforms
+
+
 def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, parts, out=None) -> np.ndarray:
     """Inverse-FFT evaluation of sum_k w_k X_k(t) e^{ikx} on the n_x grid.
 
@@ -415,35 +419,46 @@ def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, parts, out=Non
     transform unchanged), an axis a is d_a v (i*k_a), and "div_j" is the
     divergence of the wiring j = -grad v, that is -laplacian v (|k|^2).
     Component c is written into out[:, c], a real (n_t, len(parts)) +
-    grid array allocated here unless given; one complex buffer is
-    transformed in place per component.
+    grid array allocated here unless given.  Per block of rows, each part's
+    weighted coefficients fill the 2^d corners its modes occupy in one
+    zero-padded block, transformed out of place; the zeros are never
+    rewritten.  An imaginary residue that is NaN or above 1e-10 raises.
     """
     if n_x < 2 * modes.kmax + 2:
         raise ValueError(f"n_x={n_x} aliases modes; need n_x >= {2 * modes.kmax + 2}")
-    d = modes.d
+    d, kmax = modes.d, modes.kmax
     n_t = coeffs.shape[0]
+    side = (2 * kmax + 1,) * d
     grid = (n_x,) * d
     if out is None:
         out = np.empty((n_t, len(parts)) + grid)
-    idx = np.ravel_multi_index(tuple((modes.m % n_x).T), grid)
-    buf = np.empty((n_t,) + grid, dtype=np.complex128)
-    for c, part in enumerate(parts):
-        if part == "v":
-            weighted = coeffs
-        elif part == "div_j":
-            weighted = coeffs * modes.ksq.astype(np.complex128)
-        else:
-            weighted = coeffs * (1j * modes.k[:, part])
-        buf.fill(0.0)
-        buf.reshape(n_t, -1)[:, idx] = weighted
-        np.fft.ifftn(buf, axes=tuple(range(1, d + 1)), out=buf)
-        buf *= float(n_x**d)
-        # |imag| goes into component c's slot of out, which buf.real then
-        # overwrites, so no full-size temporary is made
-        residue = float(np.abs(buf.imag, out=out[:, c]).max()) if buf.size else 0.0
-        if residue > 1e-10:
-            raise FloatingPointError(f"imaginary residue {residue:.3e} exceeds 1e-10")
-        out[:, c] = buf.real
+    # modes are lexicographic in m over [-kmax, kmax]^d, so along each axis
+    # m >= 0 fills bins 0..kmax and m < 0 the last kmax bins: (mode, bin) slices
+    halves = [(slice(kmax, None), slice(0, kmax + 1)), (slice(0, kmax), slice(n_x - kmax, None))][: 2 if kmax else 1]
+    corners = [tuple(zip(*c)) for c in itertools.product(halves, repeat=d)]
+    weights = [None if p == "v" else (modes.ksq.astype(complex) if p == "div_j" else 1j * modes.k[:, p]) for p in parts]
+    # at most half the rows, rounded up: the two blocks together hold about one field
+    rows = max(1, min((n_t + 1) // 2, _FFT_BLOCK_BYTES // (16 * n_x**d)))
+    padded = np.zeros((rows,) + grid, dtype=np.complex128)
+    buf = np.empty_like(padded)
+    for lo in range(0, n_t, rows):
+        r = min(rows, n_t - lo)
+        block = coeffs[lo : lo + r].reshape((r,) + side)
+        for c, w in enumerate(weights):
+            for src, dst in corners:
+                at = padded[(slice(r),) + dst]
+                if w is None:
+                    at[...] = block[(slice(None),) + src]
+                else:
+                    np.multiply(block[(slice(None),) + src], w.reshape(side)[src], out=at)
+            np.fft.ifftn(padded[:r], axes=tuple(range(1, d + 1)), out=buf[:r])
+            buf[:r] *= float(n_x**d)
+            # |imag| goes into c's slot of out, which buf.real then overwrites: no temporary
+            slot = out[lo : lo + r, c]
+            residue = float(np.abs(buf[:r].imag, out=slot).max())
+            if not residue <= 1e-10:
+                raise FloatingPointError(f"imaginary residue {residue:.3e} exceeds 1e-10")
+            slot[...] = buf[:r].real
     return out
 
 

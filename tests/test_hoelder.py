@@ -1,7 +1,9 @@
 """Hoelder seminorm tests: brute-force oracles, the two-sided comparison
 between the exhaustive and dyadic estimators, and witness audits."""
 
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -194,6 +196,115 @@ def test_dyadic_scaling_by_power_of_two_exact():
     assert seminorm_naive(g, 0.3).naive == 4.0 * seminorm_naive(f, 0.3).naive
 
 
+def roll_dyadic(f, alpha):
+    """The dyadic scan with np.roll copies and abs/argmax at every offset.
+
+    Returns (theta, pair, level_R) of seminorm_dyadic; every offset is
+    scanned, the mirrored ones at time offset 0 included.
+    """
+    best, best_pair, best_R = 0.0, None, None
+    offsets = list(itertools.product((-1, 0, 1), repeat=f.d))
+    for _, R, st, sx in hoelder._dyadic_levels(f):
+        sub = f.values[(slice(None, None, st),) + (slice(None, None, sx),) * f.d]
+        m_t = sub.shape[0]
+        for dt_idx in range(min(4, m_t)):
+            lead, base = sub[dt_idx:], sub[: m_t - dt_idx]
+            for off in offsets:
+                if dt_idx == 0 and not any(off):
+                    continue
+                shifted = lead
+                for a, o in enumerate(off):
+                    if o:
+                        shifted = np.roll(shifted, -o, axis=1 + a)
+                diff = np.abs(shifted - base)
+                pos = int(np.argmax(diff))
+                m = float(diff.ravel()[pos])
+                if m * R**-alpha > best:
+                    best, best_R = m * R**-alpha, R
+                    i_t, *p = np.unravel_index(pos, diff.shape)
+                    t1 = f.t_start + (i_t + dt_idx) * st * f.dt
+                    t0 = f.t_start + i_t * st * f.dt
+                    x1 = tuple(((pi + o) * sx % f.n_x) * f.dx for pi, o in zip(p, off))
+                    x0 = tuple((pi * sx) * f.dx for pi in p)
+                    best_pair = ((t1, x1), (t0, x0))
+    return best, best_pair, best_R
+
+
+def _dyadic_oracle_fields():
+    rng = np.random.default_rng(41)
+    grids = (
+        (1, 16, 65, 1 / 1024),
+        (1, 2, 5, 1 / 16),
+        (1, 8, 17, 1 / 64),
+        (2, 8, 33, 1 / 256),
+        (2, 4, 9, 1 / 16),
+        (3, 4, 17, 1 / 64),
+    )
+    for d, n_x, n_t, dt in grids:
+        shape = (n_t,) + (n_x,) * d
+        yield Field(rng.standard_normal(shape), dt=dt, t_start=0.25)
+        yield Field(np.cumsum(rng.standard_normal(shape), axis=0), dt=dt)
+        # few distinct values: tied maxima at many offsets and positions
+        yield Field(rng.integers(-2, 3, shape).astype(float), dt=dt)
+        spike = np.zeros(shape)
+        spike[(n_t // 2,) + (n_x - 1,) * d] = 1.0
+        yield Field(spike, dt=dt)
+        yield Field(np.full(shape, -0.0), dt=dt)
+
+
+def test_dyadic_matches_roll_oracle():
+    for f in _dyadic_oracle_fields():
+        for alpha in (0.3, 0.7):
+            rep = seminorm_dyadic(f, alpha)
+            theta, pair, level_R = roll_dyadic(f, alpha)
+            assert _same_bits(rep.theta, theta), (f.values.shape, alpha, rep.theta, theta)
+            assert (rep.pair, rep.level_R) == (pair, level_R), f.values.shape
+
+
+def test_dyadic_nan_sample_raises_naming_it():
+    # the largest increment sits far from the NaN, which every level reads
+    rng = np.random.default_rng(43)
+    vals = rng.standard_normal((17, 8))
+    vals[9, 5] += 50.0
+    vals[0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"sample nan at time index 0, node \(0,\)"):
+        seminorm_dyadic(Field(vals, dt=1 / 64), 0.3)
+    vals = rng.standard_normal((9, 4, 4))
+    vals[4, 2, 1] = np.nan
+    with pytest.raises(ValueError, match=r"sample nan at time index 4, node \(2, 1\)"):
+        seminorm_dyadic(Field(vals, dt=1 / 16), 0.3)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+def test_dyadic_inf_minus_inf_names_the_infinite_sample():
+    vals = np.random.default_rng(44).standard_normal((17, 8))
+    vals[3:5, 2] = np.inf  # time offset 1 subtracts inf from inf
+    with pytest.raises(ValueError, match=r"sample inf at time index 3, node \(2,\)"):
+        seminorm_dyadic(Field(vals, dt=1 / 64), 0.3)
+
+
+def test_temporal_sup_nan_sample_raises_naming_it():
+    vals = np.random.default_rng(45).standard_normal((17, 4, 4))
+    vals[12, 3, 1] = np.nan
+    with pytest.raises(ValueError, match=r"sample nan at time index 12, node \(3, 1\)"):
+        hoelder._temporal_sup(Field(vals, dt=1 / 64), 0.3)
+
+
+def test_nan_search_only_runs_on_a_nan_increment(monkeypatch):
+    class NoNanSearch:
+        def __getattr__(self, name):
+            if name in ("isnan", "isinf", "argwhere"):
+                raise AssertionError(f"np.{name} called on a field without NaN increments")
+            return getattr(np, name)
+
+    vals = np.random.default_rng(46).standard_normal((17, 8))
+    vals[5, 3] = np.inf  # infinite increments, none of them NaN
+    monkeypatch.setattr(hoelder, "np", NoNanSearch())
+    for f in (Field(vals, dt=1 / 64), random_field(np.random.default_rng(47), 9, 4, 2, dt=1 / 16)):
+        seminorm_dyadic(f, 0.3)
+        c1alpha_seminorm(f, centered_gradient(f), 0.3)
+
+
 @settings(max_examples=20, deadline=None)
 @given(shift=st.floats(-10, 10, allow_nan=False))
 def test_shift_invariance(shift):
@@ -243,23 +354,29 @@ def test_centered_gradient_shape_d2():
     assert centered_gradient(f).shape == (3, 2, 8, 8)
 
 
-def _c1alpha_counting_lags(monkeypatch, f):
-    """c1alpha_seminorm(f, ., 0.3) and the number of lags it scanned."""
-    calls = []
+def _temporal_subtracts(monkeypatch, f):
+    """c1alpha_seminorm(f, ., 0.3) and the row count of each np.subtract in _temporal_sup.
+
+    The temporal scan makes one subtraction per scanned lag, with one row
+    per scanned site; subtractions elsewhere in hoelder are not counted.
+    """
+    rows = []
+    temporal = hoelder._temporal_sup.__code__
 
     class CountingNumpy:
         def __getattr__(self, name):
             return getattr(np, name)
 
         @staticmethod
-        def subtract(*args, **kwargs):
-            calls.append(1)
-            return np.subtract(*args, **kwargs)
+        def subtract(a, *args, **kwargs):
+            if sys._getframe(1).f_code is temporal:
+                rows.append(a.shape[0])
+            return np.subtract(a, *args, **kwargs)
 
     monkeypatch.setattr(hoelder, "np", CountingNumpy())
     value = c1alpha_seminorm(f, centered_gradient(f), 0.3)
     monkeypatch.undo()
-    return value, len(calls)
+    return value, rows
 
 
 def test_c1alpha_zero_field():
@@ -274,9 +391,9 @@ def test_c1alpha_linear_in_time_is_unit(monkeypatch):
     f = Field(vals, dt=0.25)
     # gradient part vanishes; temporal part peaks at the full window,
     # |t - t'|^((1-alpha)/2) = 1 at |t - t'| = 1, so no lag may be skipped
-    value, lags = _c1alpha_counting_lags(monkeypatch, f)
+    value, rows = _temporal_subtracts(monkeypatch, f)
     assert value == 1.0
-    assert lags == 5 - 1
+    assert len(rows) == 5 - 1
 
 
 def test_c1alpha_rejects_mismatched_gradient():
@@ -324,6 +441,10 @@ def _oracle_fields():
 def test_c1alpha_matches_unpruned_oracle():
     for f in _oracle_fields():
         gw = centered_gradient(f)
+        if np.isnan(f.values).any():
+            with pytest.raises(ValueError, match="NaN increment: sample nan at time index 20, node"):
+                c1alpha_seminorm(f, gw, 0.3)
+            continue
         for alpha in (0.3, 0.7):
             got = np.float64(c1alpha_seminorm(f, gw, alpha))
             want = np.float64(unpruned_c1alpha(f, gw, alpha))
@@ -334,8 +455,8 @@ def test_c1alpha_prunes_saturated_lags(monkeypatch):
     n_t = 257
     times = np.arange(n_t) / 128
     f = Field(np.broadcast_to(np.sin(2 * np.pi * times)[:, None], (n_t, 8)).copy(), dt=1 / 128)
-    value, lags = _c1alpha_counting_lags(monkeypatch, f)
-    assert lags < n_t - 1
+    value, rows = _temporal_subtracts(monkeypatch, f)
+    assert len(rows) < n_t - 1
     assert value == unpruned_c1alpha(f, centered_gradient(f), 0.3)
 
 
@@ -388,6 +509,10 @@ def test_c1alpha_hot_site_nonfinite_at_a_pruned_site(bad):
         f = hot_site_field(rng, 129, 16, 1)
         f.values[row, 2] = bad  # site 2 is smooth: its bound alone would prune it
         gw = centered_gradient(f)
+        if np.isnan(bad):
+            with pytest.raises(ValueError, match=rf"sample nan at time index {row}, node \(2,\)"):
+                c1alpha_seminorm(f, gw, 0.3)
+            continue
         got = c1alpha_seminorm(f, gw, 0.3)
         assert _same_bits(got, unpruned_c1alpha(f, gw, 0.3)), (bad, row, got)
 
@@ -425,20 +550,7 @@ def test_windowed_ranges_match_brute_force(n_t):
 def test_c1alpha_prunes_site_lag_pairs(monkeypatch):
     f = hot_site_field(np.random.default_rng(37), 129, 8, 2)
     sites, lags = f.values[0].size, f.n_t - 1
-    pairs = []
-
-    class CountingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def subtract(a, *args, **kwargs):
-            pairs.append(a.shape[0])  # one row per scanned site
-            return np.subtract(a, *args, **kwargs)
-
-    monkeypatch.setattr(hoelder, "np", CountingNumpy())
-    value = c1alpha_seminorm(f, centered_gradient(f), 0.3)
-    monkeypatch.undo()
+    value, pairs = _temporal_subtracts(monkeypatch, f)
     assert _same_bits(value, unpruned_c1alpha(f, centered_gradient(f), 0.3))
 
     # the lags a single bound shared by every site would scan

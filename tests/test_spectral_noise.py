@@ -478,13 +478,63 @@ def test_residue_guard_reports_max_abs_imaginary_part(c):
     assert f"residue {_unpaired_residue(modes, coeffs, 8):.3e} " in str(exc.value)
 
 
-def test_residue_guard_lets_nan_through():
-    # a NaN residue compares false, so the guard does not fire
+def test_residue_guard_rejects_nan():
+    # a NaN residue fails "residue <= 1e-10", so the guard fires
     modes = make_mode_set(1, 1)
     coeffs = np.zeros((1, len(modes)), complex)
     coeffs[0, 0] = complex(np.nan, 1.0)
-    out = spectral_noise._spectral_slabs(modes, coeffs, 8, ["v"])
-    assert np.isnan(out).all()
+    with pytest.raises(FloatingPointError, match="imaginary residue nan exceeds"):
+        spectral_noise._spectral_slabs(modes, coeffs, 8, ["v"])
+
+
+def fill_scatter_slabs(modes, coeffs, n_x, parts):
+    """Reference evaluator: per part, fill one full complex buffer with
+    zeros, scatter the weighted coefficients by flat index and transform
+    it in place."""
+    d, n_t = modes.d, coeffs.shape[0]
+    grid = (n_x,) * d
+    out = np.empty((n_t, len(parts)) + grid)
+    idx = np.ravel_multi_index(tuple((modes.m % n_x).T), grid)
+    buf = np.empty((n_t,) + grid, dtype=np.complex128)
+    for c, part in enumerate(parts):
+        if part == "v":
+            weighted = coeffs
+        elif part == "div_j":
+            weighted = coeffs * modes.ksq.astype(np.complex128)
+        else:
+            weighted = coeffs * (1j * modes.k[:, part])
+        buf.fill(0.0)
+        buf.reshape(n_t, -1)[:, idx] = weighted
+        np.fft.ifftn(buf, axes=tuple(range(1, d + 1)), out=buf)
+        buf *= float(n_x**d)
+        out[:, c] = buf.real
+    return out
+
+
+@pytest.mark.parametrize(
+    "d, kmax, n_x",
+    [
+        (1, 0, 2), (1, 3, 8), (1, 3, 12), (1, 5, 30), (1, 6, 14),
+        (2, 0, 3), (2, 2, 6), (2, 3, 12), (2, 7, 32),
+        (3, 1, 4), (3, 2, 7),
+    ],
+)
+def test_spectral_slabs_match_fill_scatter_oracle(monkeypatch, d, kmax, n_x):
+    # times start at 0, so the first row of coefficients is all zero
+    path = sample_mode_states(CovarianceSpec(d, d + 1.0, kmax), np.linspace(0.0, 0.5, 8), seed=5)
+    assert not path.coeffs[0].any()
+    parts = ["v", *range(d), "div_j", 0]
+    want = fill_scatter_slabs(path.modes, path.coeffs, n_x, parts).tobytes()
+    assert spectral_noise._spectral_slabs(path.modes, path.coeffs, n_x, parts).tobytes() == want
+    # blocks of 3 rows: 8 rows end on a partial block
+    monkeypatch.setattr(spectral_noise, "_FFT_BLOCK_BYTES", 3 * 16 * n_x**d)
+    assert spectral_noise._spectral_slabs(path.modes, path.coeffs, n_x, parts).tobytes() == want
+    strided = path.coeffs[1::3]  # rows read through a strided view
+    want = fill_scatter_slabs(path.modes, strided, n_x, parts).tobytes()
+    assert spectral_noise._spectral_slabs(path.modes, strided, n_x, parts).tobytes() == want
+    signed = np.full((2, len(path.modes)), complex(-0.0, -0.0))  # "v" must pass signed zeros through
+    want = fill_scatter_slabs(path.modes, signed, n_x, parts).tobytes()
+    assert spectral_noise._spectral_slabs(path.modes, signed, n_x, parts).tobytes() == want
 
 
 def test_evaluate_refined_grid_contains_coarse_nodes():
