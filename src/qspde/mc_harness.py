@@ -154,8 +154,6 @@ def run_campaign(cfg, workers: int = 1, realizations: Optional[Sequence[int]] = 
             raw = pool.map(_campaign_worker, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
     else:
         raw = [_campaign_worker(t) for t in tasks]
-    pos = {r: i for i, r in enumerate(idx)}
-    raw.sort(key=lambda t: pos[t[0]])
 
     records = []
     failures = []
@@ -345,7 +343,7 @@ def increment_scaling_fit(
         spatial_lags = 2.0 ** np.arange(-8, -3)
     spatial_lags = np.asarray(spatial_lags, dtype=np.float64)
     strides = spatial_lags * n_x
-    if np.any(np.abs(strides - np.round(strides)) > 1e-9) or np.any(strides < 1):
+    if not np.all(np.isfinite(strides)) or np.any(np.abs(strides - np.round(strides)) > 1e-9) or np.any(strides < 1):
         raise ValueError(
             f"spatial lags must be multiples of 1/{n_x} (n_x = 2*kmax+2, kmax={spec.kmax}); "
             f"the default lags 2^-8..2^-4 need 256 | 2*kmax+2, so pass spatial_lags"
@@ -354,7 +352,7 @@ def increment_scaling_fit(
     if temporal_lags is None:
         temporal_lags = 2.0 ** np.arange(-12, -5)
     temporal_lags = np.asarray(temporal_lags, dtype=np.float64)
-    if np.any(temporal_lags <= 0) or np.any(temporal_lags >= 1):
+    if not np.all((temporal_lags > 0) & (temporal_lags < 1)):
         raise ValueError("temporal lags must lie in (0, 1)")
 
     times = np.concatenate([np.sort(1.0 - temporal_lags), [1.0]])

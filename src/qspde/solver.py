@@ -12,14 +12,16 @@ scheme conserves the spatial mean to roundoff and is explicit Euler
 in time under the usual diffusive CFL bound (upper ellipticity is
 normalized to one, so the bound carries no nonlinearity constant).
 
-One kernel, _FluxMarch, does every step.  It marches a batch of slabs
-shaped (B,) + grid with slice differences into buffers allocated once
-per march, in blocks of _BLOCK steps: grad v is evaluated once per row
-and averaged onto faces once per block, the states go into a ring, and
-the means, the finiteness check and the saves are taken once per block.
-solve marches B = 1 and contraction_test its pair as B = 2 with a hook
-that sums the dissipation.  Every output equals, bit for bit, that of
-the np.roll formulation kept as the test oracle, at any block size.
+One kernel, _FluxMarch, does every step, and one loop, _march, drives
+it.  _march steps a batch of slabs shaped (B,) + grid with slice
+differences into buffers allocated once per march, in blocks of _BLOCK
+steps: grad v is evaluated once per row and averaged onto faces once per
+block, the states go into a ring, and the means, the finiteness check
+and the saves are taken once per block.  It returns the saved batch,
+grad v at the saves and the mean drift.  solve is its B = 1 call and
+contraction_test its B = 2 call with a hook that sums the dissipation.
+Every output equals, bit for bit, that of the np.roll formulation kept
+as the test oracle, at any block size.
 
 The built-in nonlinearities act componentwise, so the flux through a
 face normal to axis a needs only component a of the argument.
@@ -105,17 +107,11 @@ class Trajectory:
     w: np.ndarray
     v: np.ndarray
     grad_v: np.ndarray
-    dt: float
-    dx: float
     mean_drift_rate: float
 
     @property
     def u(self) -> np.ndarray:
         return self.w + self.v
-
-    @property
-    def d(self) -> int:
-        return self.w.ndim - 1
 
 
 def _layers(d, n_x, a):
@@ -252,6 +248,8 @@ def _noise_alignment(cfg: SolverConfig, noise: NoisePath) -> int:
         )
     if abs(noise.times[0]) > 1e-12:
         raise ValueError("noise path must start at t=0")
+    if noise.coeffs.shape[0] < 2:  # a single row has no step to divide by
+        raise ValueError("noise path too short for the requested end time")
     ndt = noise.dt
     ratio = cfg.dt / ndt
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
@@ -286,31 +284,46 @@ def _keep(rows, n0, every, out):
     out[first : first + kept.shape[0]] = kept
 
 
-def _march(cfg: SolverConfig, noise: NoisePath, ratio, j_source, w0, grad_v_out=None, save_every=1, hook=None):
-    """March the batch w0, shape (B,) + grid; yield (lo, states, means) per block.
+def _march(cfg: SolverConfig, noise: NoisePath, j_source, w0, save_every=1, hook=None):
+    """March the batch w0, shape (B,) + grid, from t = 0 to t_end.
 
-    Step i reads noise row i*ratio.  grad v (and div j for the
-    grad_v_negated wiring) is evaluated _BLOCK steps at a time; when
-    grad_v_out is given, the raw grad v of every save_every-th step i is
-    copied into its row i // save_every.  states[k] is the batch after
-    step lo + k, a view the next block overwrites, and means[k] its rows'
-    spatial means.
+    Returns (save_rows, saves, grad_v, drift): the noise rows of every
+    save_every-th step, the batch at those steps, shape (n_saves, B) + grid
+    and starting with w0, the raw grad v there, shape (n_saves, d) + grid,
+    and the fmax over steps and rows of |mean - mean of w0|.  Step i reads
+    noise row i*ratio.  grad v (and div j for the grad_v_negated wiring)
+    is evaluated _BLOCK steps at a time, so each grad v row is evaluated
+    once; the march never reads the last one, which is evaluated at the
+    end.  hook(i, g, f) is the divergence hook of step i.
     """
-    spectral_j, j_faces = _resolve_j(j_source, cfg)
+    ratio = _noise_alignment(cfg, noise)
     d, n_steps = cfg.d, cfg.n_steps
+    if save_every < 1 or n_steps % save_every:
+        raise ValueError("save_every must be >= 1 and divide the step count")
+    spectral_j, j_faces = _resolve_j(j_source, cfg)
     parts = tuple(range(d)) + (("div_j",) if spectral_j else ())
+    save_rows = np.arange(0, n_steps + 1, save_every) * ratio
+    saves = np.empty(save_rows.shape + w0.shape)
+    grad_v = np.empty(save_rows.shape + (d,) + w0.shape[1:])
+    saves[0] = w0
+    # bitwise row.mean(), as advance_block takes the means of the states
+    mean0 = np.add.reduce(w0.reshape(w0.shape[0], -1), -1) / w0[0].size
+    drift = 0.0
     march = _FluxMarch(d, cfg.n_x, cfg.nl, w0.shape[0], min(_BLOCK, n_steps))
     march.ring[0] = w0
     for lo in range(0, n_steps, _BLOCK):
         n = min(_BLOCK, n_steps - lo)
         block = _spectral_slabs(noise.modes, noise.coeffs[lo * ratio : (lo + n) * ratio : ratio], cfg.n_x, parts)
         gv = block[:, :d]
-        if grad_v_out is not None:
-            _keep(gv, lo, save_every, grad_v_out)
+        _keep(gv, lo, save_every, grad_v)
         _face_average(gv, d, gv)
         means = march.advance_block(lo, n, cfg.dt, gv, block[:, d] if spectral_j else None, j_faces, hook)
-        yield lo, march.ring[1 : n + 1], means
+        # fmax skips NaN means, as a running max() over the steps would
+        drift = max(drift, float(np.fmax.reduce(np.abs(means - mean0), None)))
+        _keep(march.ring[1 : n + 1], lo + 1, save_every, saves)
         march.ring[0] = march.ring[n]
+    _spectral_slabs(noise.modes, noise.coeffs[save_rows[-1:]], cfg.n_x, range(d), grad_v[-1:])
+    return save_rows, saves, grad_v, drift
 
 
 def solve(
@@ -328,33 +341,16 @@ def solve(
     callable t -> (d,)+grid for user forcing.  Deterministic given its
     arguments.
     """
-    ratio = _noise_alignment(cfg, noise)
-    n_steps = cfg.n_steps
-    if save_every < 1 or n_steps % save_every:
-        raise ValueError("save_every must be >= 1 and divide the step count")
-
-    save_rows = np.arange(0, n_steps + 1, save_every) * ratio
     grid = (cfg.n_x,) * cfg.d
-    grad_v = np.empty((save_rows.size, cfg.d) + grid)
-    saves = np.zeros((save_rows.size,) + grid)
-    max_mean = 0.0
-    for lo, states, means in _march(cfg, noise, ratio, j_source, np.zeros((1,) + grid), grad_v, save_every):
-        # fmax skips NaN means, as a running max() over the steps would
-        max_mean = max(max_mean, float(np.fmax.reduce(np.abs(means), None)))
-        _keep(states[:, 0], lo + 1, save_every, saves)
-
-    # the march never reads the last row, so only its grad v is left
-    _spectral_slabs(noise.modes, noise.coeffs[save_rows[-1:]], cfg.n_x, range(cfg.d), grad_v[-1:])
+    save_rows, saves, grad_v, drift = _march(cfg, noise, j_source, np.zeros((1,) + grid), save_every)
     v = np.empty((save_rows.size,) + grid)
     _spectral_slabs(noise.modes, noise.coeffs[save_rows], cfg.n_x, ("v",), v[:, None])
     return Trajectory(
         times=np.asarray(noise.times)[save_rows],
-        w=saves,
+        w=saves[:, 0],
         v=v,
         grad_v=grad_v,
-        dt=cfg.dt,
-        dx=cfg.dx,
-        mean_drift_rate=max_mean / cfg.t_end,
+        mean_drift_rate=drift / cfg.t_end,
     )
 
 
@@ -391,10 +387,8 @@ def contraction_test(
     march together as one batch of two; a non-finite value aborts with
     the copy (0 or 1) and the node named.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    ratio = _noise_alignment(cfg, noise)
-    n_steps = cfg.n_steps
+    if not 0.0 <= epsilon < np.inf:
+        raise ValueError("epsilon must be finite and >= 0")
     grid = (cfg.n_x,) * cfg.d
     cell = cfg.dx**cfg.d
     w0 = np.zeros((2,) + grid)
@@ -405,20 +399,15 @@ def contraction_test(
     if epsilon > 0 and peak > 0:
         w0[1] = pert * (epsilon / peak)
 
-    distances = np.empty(n_steps + 1)
-    dissipation = np.zeros(n_steps)
-    distances[0] = np.sqrt(np.sum((w0[0] - w0[1]) ** 2) * cell)
-    mean0 = np.array([float(row.mean()) for row in w0])
-    drift = 0.0
+    dissipation = np.zeros(cfg.n_steps)
 
     def dissipate(i, g, f):
         # sum over the faces normal to one axis of (G1-G2).(A(G1+gv)-A(G2+gv))
         dissipation[i] += float(np.sum((g[0] - g[1]) * (f[0] - f[1]))) * cell
 
-    for lo, states, means in _march(cfg, noise, ratio, j_source, w0, hook=dissipate):
-        sq = ((states[:, 0] - states[:, 1]) ** 2).reshape(len(states), -1)
-        distances[lo + 1 : lo + 1 + len(sq)] = np.sqrt(np.add.reduce(sq, -1) * cell)
-        drift = max(drift, float(np.fmax.reduce(np.abs(means - mean0), None)))
+    _, saves, _, drift = _march(cfg, noise, j_source, w0, hook=dissipate)
+    sq = ((saves[:, 0] - saves[:, 1]) ** 2).reshape(len(saves), -1)
+    distances = np.sqrt(np.add.reduce(sq, -1) * cell)
 
     passed = bool(
         np.min(dissipation) >= -1e-10
@@ -431,7 +420,7 @@ def contraction_test(
         dt=cfg.dt,
         initial_distance=float(distances[0]),
         final_distance=float(distances[-1]),
-        min_dissipation=float(np.min(dissipation)) if n_steps else 0.0,
+        min_dissipation=float(np.min(dissipation)) if cfg.n_steps else 0.0,
         distances=distances,
         dissipation=dissipation,
         mean_drift_rate=drift / cfg.t_end,

@@ -205,7 +205,6 @@ class ModeSet:
     m: np.ndarray
     k: np.ndarray
     ksq: np.ndarray
-    neg_index: np.ndarray
     rep_mask: np.ndarray
 
     def __len__(self):
@@ -223,8 +222,7 @@ def make_mode_set(d: int, kmax: int) -> ModeSet:
     k = 2.0 * np.pi * m.astype(np.float64)
     ksq = np.sum(k * k, axis=1)
     n = m.shape[0]
-    neg_index = np.arange(n - 1, -1, -1)
-    return ModeSet(int(d), int(kmax), m, k, ksq, neg_index, np.arange(n) >= n // 2)
+    return ModeSet(int(d), int(kmax), m, k, ksq, np.arange(n) >= n // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,18 @@ VIOLATION_CASES = {
             "dt: violates the diffusion stability bound theta*dx^2/(2d) = 0.0009765625, got 0.03125",
         ],
     ),
+    "range_rules": (
+        config_text(d="0", n_x="6", dt="0", t_end="-1", alpha="", theta="0", save_every="0"),
+        [
+            "d: must be >= 1, got 0",
+            "n_x: must be >= 2*kmax+2 = 8 for alias-free evaluation, got 6",
+            "dt: must be > 0, got 0",
+            "t_end: must be > 0, got -1",
+            "alpha: needs at least one value",
+            "theta: stability fraction must lie in (0, 1], got 0",
+            "save_every: must be >= 1, got 0",
+        ],
+    ),
 }
 
 

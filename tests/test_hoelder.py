@@ -186,6 +186,11 @@ def test_dyadic_rejects_non_dyadic_grids():
         seminorm_dyadic(Field(np.zeros((4, 8)), dt=1 / 16), 0.3)  # n_t-1 not 2^k
     with pytest.raises(ValueError, match="scale"):
         seminorm_dyadic(Field(np.zeros((5, 8)), dt=1 / 10), 0.3)  # dt misaligned
+    with pytest.raises(ValueError, match="two time slabs"):
+        seminorm_dyadic(Field(np.zeros((1, 8)), dt=1 / 16), 0.3)
+    for alpha in (0.0, 1.0, np.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            seminorm_dyadic(Field(np.zeros((5, 8)), dt=1 / 16), alpha)
 
 
 def test_dyadic_scaling_by_power_of_two_exact():

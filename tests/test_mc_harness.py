@@ -239,10 +239,14 @@ def test_scaling_validation():
     spec = CovarianceSpec(1, 1.5, 31)  # n_x = 64 cannot host lag 2^-8
     with pytest.raises(ValueError, match="multiples"):
         increment_scaling_fit(spec, 10, seed=0)
-    with pytest.raises(ValueError, match="temporal"):
-        increment_scaling_fit(
-            spec, 10, seed=0, spatial_lags=np.array([1 / 16]), temporal_lags=np.array([1.5])
-        )
+    for lag in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="multiples"):
+            increment_scaling_fit(spec, 10, seed=0, spatial_lags=np.array([1 / 16, lag]))
+    for lag in (1.5, np.nan):
+        with pytest.raises(ValueError, match="temporal"):
+            increment_scaling_fit(
+                spec, 10, seed=0, spatial_lags=np.array([1 / 16]), temporal_lags=np.array([lag])
+            )
 
 
 # ---------------------------------------------------------------------------

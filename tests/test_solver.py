@@ -286,8 +286,18 @@ def test_solve_rejects_incompatible_noise():
         solve(cfg, zero_path(1, 2.0, 3, 2.0**-7, 32))
     with pytest.raises(ValueError, match="short"):  # path ends before t_end
         solve(cfg, zero_path(1, 2.0, 3, 2.0**-8, 32))
+    with pytest.raises(ValueError, match="short"):  # one row has no time step
+        solve(cfg, zero_path(1, 2.0, 3, 2.0**-8, 0))
+    with pytest.raises(ValueError, match="short"):
+        contraction_test(cfg, zero_path(1, 2.0, 3, 2.0**-8, 0))
+    late = zero_path(1, 2.0, 3, 2.0**-8, 64)
+    late.times = late.times + 0.5
+    with pytest.raises(ValueError, match="start at t=0"):
+        solve(cfg, late)
     with pytest.raises(ValueError, match="save_every"):
         solve(cfg, zero_path(1, 2.0, 3, 2.0**-8, 64), save_every=7)
+    with pytest.raises(ValueError, match="unknown j_source"):
+        solve(cfg, zero_path(1, 2.0, 3, 2.0**-8, 64), "grad_v")
 
 
 # ---------------------------------------------------------------------------
@@ -560,5 +570,6 @@ def test_non_finite_step_count_rejected():
 
 def test_contraction_rejects_negative_epsilon():
     cfg = SolverConfig(d=1, n_x=16, dt=2.0**-10, t_end=0.125, nl=TANH)
-    with pytest.raises(ValueError):
-        contraction_test(cfg, zero_path(1, 2.0, 1, 2.0**-10, 128), epsilon=-1.0)
+    for epsilon in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            contraction_test(cfg, zero_path(1, 2.0, 1, 2.0**-10, 128), epsilon=epsilon)

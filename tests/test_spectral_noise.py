@@ -64,9 +64,8 @@ def test_mode_set_cardinality_d2():
 def test_mode_set_negation_closed():
     for d, kmax in ((1, 3), (2, 2), (3, 1)):
         ms = make_mode_set(d, kmax)
-        assert np.array_equal(ms.k[ms.neg_index], -ms.k)
-        # involution and zero mode present
-        assert np.array_equal(ms.neg_index[ms.neg_index], np.arange(len(ms)))
+        # negation is index reversal, and the zero mode is present
+        assert np.array_equal(ms.k[::-1], -ms.k)
         assert np.any(np.all(ms.m == 0, axis=1))
 
 
@@ -96,7 +95,7 @@ def test_rep_mask_matches_sign_rule(d, kmax):
     ms = make_mode_set(d, kmax)
     assert np.array_equal(ms.rep_mask, _sign_rule_reps(ms.m))
     # every non-representative is the negation of a representative
-    assert np.all(ms.rep_mask[ms.neg_index[~ms.rep_mask]])
+    assert np.all(ms.rep_mask[::-1][~ms.rep_mask])
 
 
 def test_spec_rejects_s_at_or_below_d():
@@ -220,7 +219,7 @@ def test_path_reality_pairing_exact():
     spec = CovarianceSpec(2, 3.0, 2)
     times = np.linspace(0.0, 1.0, 5)
     path = sample_mode_states(spec, times, seed=11)
-    assert np.array_equal(path.coeffs[:, path.modes.neg_index], np.conj(path.coeffs))
+    assert np.array_equal(path.coeffs[:, ::-1], np.conj(path.coeffs))
     zero = np.all(path.modes.m == 0, axis=1)
     assert np.all(path.coeffs[:, zero].imag == 0)
 
@@ -424,7 +423,7 @@ def test_evaluate_single_pair_closed_form():
     coeffs = np.zeros((1, len(modes)), complex)
     i_plus = int(np.where(modes.m[:, 0] == 1)[0][0])
     coeffs[0, i_plus] = c
-    coeffs[0, modes.neg_index[i_plus]] = np.conj(c)
+    coeffs[0, ::-1][i_plus] = np.conj(c)
     path = _manual_path(spec, modes, np.array([0.5]), coeffs)
     n_x = 8
     f = evaluate_field(path, n_x)
@@ -672,25 +671,28 @@ def test_qspd_rejects_truncated_payload(tmp_path, cut):
         read_qspd(p)
 
 
-def _qspd_header(d, shape, n_t):
-    return b"QSPD" + struct.pack(f"<Iq{d}qqdd", 1, d, *shape, n_t, 0.5, 0.0)
+def _qspd_header(shape, n_t, version=1):
+    d = len(shape)
+    return b"QSPD" + struct.pack(f"<Iq{d}qqdd", version, d, *shape, n_t, 0.5, 0.0)
 
 
 @pytest.mark.parametrize(
-    "shape, n_t, match",
+    "header, match",
     [
-        ((2,), -1, "n_t is -1"),
-        ((2, 2), -4, "n_t is -4"),
-        ((-3,), 2, r"axis sizes \(-3,\)"),
-        ((4, -1), 2, r"axis sizes \(4, -1\)"),
-        ((0,), 3, r"axis sizes \(0,\)"),
-        ((3, 0, 3), 1, r"axis sizes \(3, 0, 3\)"),
+        (_qspd_header((2,), -1), "n_t is -1"),
+        (_qspd_header((2, 2), -4), "n_t is -4"),
+        (_qspd_header((-3,), 2), r"axis sizes \(-3,\)"),
+        (_qspd_header((4, -1), 2), r"axis sizes \(4, -1\)"),
+        (_qspd_header((0,), 3), r"axis sizes \(0,\)"),
+        (_qspd_header((3, 0, 3), 1), r"axis sizes \(3, 0, 3\)"),
+        (_qspd_header((2,), 1, version=2), "unsupported QSPD version 2"),
+        (_qspd_header((2,) * 9, 1), "implausible dimension 9"),
     ],
-    ids=["n_t=-1", "n_t=-4", "axis0=-3", "axis1=-1", "axis0=0", "axis1=0"],
+    ids=["n_t=-1", "n_t=-4", "axis0=-3", "axis1=-1", "axis0=0", "axis1=0", "version=2", "d=9"],
 )
-def test_qspd_rejects_impossible_header_sizes(tmp_path, shape, n_t, match):
+def test_qspd_rejects_impossible_header_sizes(tmp_path, header, match):
     p = tmp_path / "f.qspd"
-    p.write_bytes(_qspd_header(len(shape), shape, n_t) + b"\x00" * 64)
+    p.write_bytes(header + b"\x00" * 64)
     with pytest.raises(ValueError, match=match):
         read_qspd(p)
 
