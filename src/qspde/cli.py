@@ -142,7 +142,7 @@ def _cmd_solve(cfg: ExperimentConfig, args) -> dict:
     try:
         scfg, j_source = _solver_setup(cfg)
     except ValueError as exc:
-        raise _CliError(1, "validation", [f"solver: {exc}"])
+        raise _CliError(1, "validation", [str(exc)])
     if cfg.j_mode == "file":
         j_source = _read_j_components(cfg)
     path = _noise_path(cfg, 0)

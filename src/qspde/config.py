@@ -1,12 +1,20 @@
-"""Experiment configuration: a flat key = value schema.
+"""Experiment configuration: a flat key = value schema and its rules.
 
 _KEYS is the schema: one row per key, in canonical order, naming the
 ExperimentConfig field it fills, how to parse and format its value and
 what a bad value should have looked like.  The dataclass defaults are the
 only defaults; a key whose field has none is required.
 
-parse_config validates the whole file and reports every violation at
-once, each naming the offending key and the constraint it breaks.
+_RULES is every validation rule of the package, once, in report order.
+A row names the ExperimentConfig fields it reads, the first being the
+one it is keyed on, and a check that returns its "key: ..."
+violation(s) or nothing.  A row runs only when every field it reads is
+present and broke no earlier row; a failing row marks its key field.
+parse_config runs the table on every parsed field and reports every
+violation.  Constructors and internal guards pass the fields they hold
+to check, which raises the first violation as ValueError, worded as
+parse_config words it.
+
 serialize emits a canonical normal form (fixed key order, floats with
 17 significant digits), so serialize(parse(text)) is idempotent and
 config_hash identifies an experiment.
@@ -29,6 +37,11 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.violations))
 
 
+def _n_steps(c) -> int:
+    """Steps of size dt to t_end."""
+    return int(round(c.t_end / c.dt))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     d: int
@@ -49,9 +62,7 @@ class ExperimentConfig:
     save_every: int = 1
     mc_solve: bool = False
 
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+    n_steps = property(_n_steps)
 
 
 _NL_KINDS = ("identity", "tanh_perturbed")
@@ -96,14 +107,103 @@ _KEYS = (
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
 
 
+def _step_multiple(c):
+    ratio = c.t_end / c.dt
+    if not math.isfinite(ratio):
+        return f"t_end: must be a finite multiple of dt, got t_end/dt = {_fmt(ratio)}"
+    n = _n_steps(c)
+    if abs(n * c.dt - c.t_end) > 1e-9 * max(1.0, c.t_end) or n < 1:
+        return f"dt: t_end must be an integer multiple of dt, got t_end/dt = {_fmt(ratio)}"
+
+
+def _alpha_window(c):
+    cap = min((c.s - c.d) / 2.0, 1.0)
+    return [
+        f"alpha: admissible exponents lie in (0, min((s-d)/2, 1)) = (0, {_fmt(cap)}), got {_fmt(a)}"
+        for a in c.alphas
+        if not 0.0 < a < cap
+    ]
+
+
+def _saved_intervals(c):
+    # dyadic norm grids: the saved intervals of a solve, or the steps of the noise alone
+    m = _n_steps(c) // c.save_every if c.mc_solve else _n_steps(c)
+    if m & (m - 1) != 0:
+        return f"dt: dyadic norm estimation needs a power of two of saved intervals, got {m}"
+
+
+def _stability(c):
+    dx = 1.0 / c.n_x
+    limit = c.theta * dx * dx / (2.0 * c.d)
+    if c.mc_solve and c.dt > limit * (1.0 + 1e-12):
+        return f"dt: violates the diffusion stability bound theta*dx^2/(2d) = {_fmt(limit)}, got {_fmt(c.dt)}"
+
+
+# (fields read, the first one keyed; check -> its "key: ..." violation(s) or nothing) in report order
+_RULES = (
+    (("d",), lambda c: c.d < 1 and f"d: must be >= 1, got {c.d}"),
+    (("s", "d"), lambda c: not c.s > c.d and f"s: noise covariance is trace class only for s > d, got s = {_fmt(c.s)} with d = {c.d}"),
+    (("kmax",), lambda c: c.kmax < 1 and f"kmax: must be >= 1, got {c.kmax}"),
+    (("n_x", "kmax"), lambda c: c.n_x < 2 * c.kmax + 2 and f"n_x: must be >= 2*kmax+2 = {2 * c.kmax + 2} for alias-free evaluation, got {c.n_x}"),
+    (("n_x",), lambda c: c.n_x < 2 and f"n_x: must be >= 2, got {c.n_x}"),
+    (("dt",), lambda c: not c.dt > 0 and f"dt: must be > 0, got {_fmt(c.dt)}"),
+    (("t_end",), lambda c: not c.t_end > 0 and f"t_end: must be > 0, got {_fmt(c.t_end)}"),
+    # keyed on t_end: every rule that needs the step count reads it
+    (("t_end", "dt"), _step_multiple),
+    (("alphas",), lambda c: not c.alphas and "alpha: needs at least one value"),
+    (("alphas", "s", "d"), _alpha_window),
+    (("nl_kind",), lambda c: c.nl_kind not in _NL_KINDS and f"nonlinearity: must be one of {', '.join(_NL_KINDS)}, got {c.nl_kind!r}"),
+    (("nl_lambda",), lambda c: not 0.0 < c.nl_lambda <= 1.0 and f"lambda: ellipticity constant must lie in (0, 1], got {_fmt(c.nl_lambda)}"),
+    (("j_mode",), lambda c: c.j_mode not in _J_MODES and f"j_mode: must be one of {', '.join(_J_MODES)}, got {c.j_mode!r}"),
+    (("j_file", "j_mode"), lambda c: c.j_mode == "file" and c.j_file is None and "j_file: required when j_mode = file"),
+    (("j_file", "j_mode"), lambda c: c.j_file is not None and c.j_mode != "file" and f"j_file: only meaningful with j_mode = file, got j_mode = {c.j_mode!r}"),
+    (("seed",), lambda c: c.seed < 0 and f"seed: must be >= 0, got {c.seed}"),
+    (("n_realizations",), lambda c: c.n_realizations < 1 and f"n_realizations: must be >= 1, got {c.n_realizations}"),
+    (("theta",), lambda c: not 0.0 < c.theta <= 1.0 and f"theta: stability fraction must lie in (0, 1], got {_fmt(c.theta)}"),
+    (("save_every",), lambda c: c.save_every < 1 and f"save_every: must be >= 1, got {c.save_every}"),
+    (("save_every", "t_end", "dt"), lambda c: _n_steps(c) % c.save_every != 0 and f"save_every: must divide n_steps = {_n_steps(c)}, got {c.save_every}"),
+    (("n_x", "alphas"), lambda c: c.n_x & (c.n_x - 1) != 0 and f"n_x: dyadic norm estimation needs a power of two, got {c.n_x}"),
+    (("t_end", "dt", "save_every", "mc_solve", "alphas"), _saved_intervals),
+    (("dt", "mc_solve", "d", "n_x", "theta"), _stability),
+)
+
+
+def _violations(held: dict) -> list:
+    """Every violation of the rules whose fields are all in held, in table order."""
+    c = SimpleNamespace(**held)
+    ok = set(held)
+    out = []
+    for names, rule in _RULES:
+        if ok.issuperset(names):
+            found = rule(c)
+            if found:
+                out += [found] if isinstance(found, str) else found
+                ok.discard(names[0])
+    return out
+
+
+def check(**held) -> None:
+    """Raise the first violation of the rules on the held fields as ValueError.
+
+    An integer field must hold a whole number; mc_solve = True applies
+    the stability bound.
+    """
+    for key, name, conv, desc, _ in _KEYS:
+        if conv is int and name in held and held[name] % 1:
+            raise ValueError(f"{key}: expected {desc}, got {held[name]!r}")
+    bad = _violations(held)
+    if bad:
+        raise ValueError(bad[0])
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate the key = value schema.
 
     Lines are 'key = value'; blank lines and # comments are skipped.
     Raises ConfigError carrying every violation found, not just the
-    first.  The CFL bound is enforced here only when the config itself
-    schedules a solve (mc_solve = true); the solve subcommand re-checks
-    it at solver construction either way.
+    first.  The stability bound is enforced here only when the config
+    itself schedules a solve (mc_solve = true); SolverConfig enforces it
+    for every solve.
     """
     raw = {}
     bad = []
@@ -130,99 +230,19 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in raw and name not in _DEFAULTS:
             bad.append(f"{key}: required key missing")
 
-    # every field, None where its key is missing without a default or fails to parse
+    # every field that parsed or has a default; the rules skip the others
     vals = {}
     for key, name, conv, desc, _ in _KEYS:
+        if key not in raw:
+            if name in _DEFAULTS:
+                vals[name] = _DEFAULTS[name]
+            continue
         try:
-            vals[name] = conv(raw[key]) if key in raw else _DEFAULTS.get(name)
+            vals[name] = conv(raw[key])
         except (TypeError, ValueError):
             bad.append(f"{key}: expected {desc}, got {raw[key]!r}")
-            vals[name] = None
 
-    # cross-key rules read the parsed fields by name
-    c = SimpleNamespace(**vals)
-    if c.d is not None and c.d < 1:
-        bad.append(f"d: must be >= 1, got {c.d}")
-    if c.d is not None and c.s is not None and not c.s > c.d:
-        bad.append(f"s: noise covariance is trace class only for s > d, got s = {_fmt(c.s)} with d = {c.d}")
-    if c.kmax is not None and c.kmax < 1:
-        bad.append(f"kmax: must be >= 1, got {c.kmax}")
-    if c.n_x is not None and c.kmax is not None and c.n_x < 2 * c.kmax + 2:
-        bad.append(f"n_x: must be >= 2*kmax+2 = {2 * c.kmax + 2} for alias-free evaluation, got {c.n_x}")
-    if c.dt is not None and not c.dt > 0:
-        bad.append(f"dt: must be > 0, got {_fmt(c.dt)}")
-    if c.t_end is not None and not c.t_end > 0:
-        bad.append(f"t_end: must be > 0, got {_fmt(c.t_end)}")
-    n_steps = None
-    if c.dt is not None and c.t_end is not None and c.dt > 0 and c.t_end > 0:
-        ratio = c.t_end / c.dt
-        n_steps = int(round(ratio)) if math.isfinite(ratio) else None
-        if n_steps is None:
-            bad.append(f"t_end: must be a finite multiple of dt, got t_end/dt = {_fmt(ratio)}")
-        elif abs(n_steps * c.dt - c.t_end) > 1e-9 * max(1.0, c.t_end) or n_steps < 1:
-            bad.append(f"dt: t_end must be an integer multiple of dt, got t_end/dt = {_fmt(ratio)}")
-            n_steps = None
-    if c.alphas is not None:
-        if not c.alphas:
-            bad.append("alpha: needs at least one value")
-        elif c.d is not None and c.s is not None and c.s > c.d:
-            cap = min((c.s - c.d) / 2.0, 1.0)
-            for a in c.alphas:
-                if not 0.0 < a < cap:
-                    bad.append(
-                        f"alpha: admissible exponents lie in (0, min((s-d)/2, 1)) = (0, {_fmt(cap)}), got {_fmt(a)}"
-                    )
-    if c.nl_kind is not None and c.nl_kind not in _NL_KINDS:
-        bad.append(f"nonlinearity: must be one of {', '.join(_NL_KINDS)}, got {c.nl_kind!r}")
-    if c.nl_lambda is not None and not 0.0 < c.nl_lambda <= 1.0:
-        bad.append(f"lambda: ellipticity constant must lie in (0, 1], got {_fmt(c.nl_lambda)}")
-    if c.j_mode is not None and c.j_mode not in _J_MODES:
-        bad.append(f"j_mode: must be one of {', '.join(_J_MODES)}, got {c.j_mode!r}")
-    if c.j_mode == "file" and c.j_file is None:
-        bad.append("j_file: required when j_mode = file")
-    if c.j_file is not None and c.j_mode is not None and c.j_mode != "file":
-        bad.append(f"j_file: only meaningful with j_mode = file, got j_mode = {c.j_mode!r}")
-    if c.seed is not None and c.seed < 0:
-        bad.append(f"seed: must be >= 0, got {c.seed}")
-    if c.n_realizations is not None and c.n_realizations < 1:
-        bad.append(f"n_realizations: must be >= 1, got {c.n_realizations}")
-    if c.theta is not None and not 0.0 < c.theta <= 1.0:
-        bad.append(f"theta: stability fraction must lie in (0, 1], got {_fmt(c.theta)}")
-    if c.save_every is not None and c.save_every < 1:
-        bad.append(f"save_every: must be >= 1, got {c.save_every}")
-    if (
-        c.save_every is not None
-        and n_steps is not None
-        and c.save_every >= 1
-        and n_steps % c.save_every != 0
-    ):
-        bad.append(f"save_every: must divide n_steps = {n_steps}, got {c.save_every}")
-
-    # dyadic norm grids: required whenever norms will be estimated
-    if c.alphas and c.n_x is not None and c.n_x >= 2 and (c.n_x & (c.n_x - 1)) != 0:
-        bad.append(f"n_x: dyadic norm estimation needs a power of two, got {c.n_x}")
-    if c.alphas and n_steps is not None and c.save_every and n_steps % c.save_every == 0:
-        m = n_steps // c.save_every if c.mc_solve else n_steps
-        if m >= 1 and (m & (m - 1)) != 0:
-            bad.append(
-                f"dt: dyadic norm estimation needs a power of two of saved intervals, got {m}"
-            )
-
-    if (
-        c.mc_solve
-        and None not in (c.d, c.n_x, c.dt, c.theta)
-        and c.d >= 1
-        and c.n_x >= 2
-        and c.dt > 0
-        and 0 < c.theta <= 1
-    ):
-        dx = 1.0 / c.n_x
-        limit = c.theta * dx * dx / (2.0 * c.d)
-        if c.dt > limit * (1.0 + 1e-12):
-            bad.append(
-                f"dt: violates the diffusion stability bound theta*dx^2/(2d) = {_fmt(limit)}, got {_fmt(c.dt)}"
-            )
-
+    bad += _violations(vals)
     if bad:
         raise ConfigError(bad)
     return ExperimentConfig(**vals)

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import check
 from .hoelder import _max_component_theta, c1alpha_seminorm, centered_gradient
 from .nonlinearity import builtin
 from .solver import GRAD_V_NEGATED, SolverConfig, solve
@@ -139,8 +140,7 @@ def run_campaign(cfg, workers: int = 1, realizations: Optional[Sequence[int]] = 
     CampaignFailure.  A config without alphas, or with j_mode = file,
     raises ValueError before any realization runs.
     """
-    if not cfg.alphas:
-        raise ValueError("campaigns need at least one alpha")
+    check(alphas=cfg.alphas)
     if cfg.j_mode not in _J_SOURCES:
         raise ValueError("j_mode: campaigns support zero and grad_v_negated only")
     if realizations is None:

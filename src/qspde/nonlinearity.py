@@ -12,6 +12,8 @@ from typing import Callable
 
 import numpy as np
 
+from .config import check
+
 # max_q |d/dq sech^2(q)| = 4/(3*sqrt(3)), attained where tanh(q) = 1/sqrt(3)
 SECH2_SLOPE_MAX = 4.0 / (3.0 * np.sqrt(3.0))
 
@@ -45,29 +47,26 @@ def builtin(kind: str, lam: float = 1.0) -> Nonlinearity:
     diag(lam + (1-lam)*sech^2(q)) with eigenvalues confined to [lam, 1]
     and Lipschitz constant (1-lam)*4/(3*sqrt(3)).
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"lambda must lie in (0, 1], got {lam}")
+    check(nl_kind=kind, nl_lambda=lam)
     if kind == "identity":
         return Nonlinearity("identity", 1.0, 0.0, lambda q: np.asarray(q, float), _ones_like)
-    if kind == "tanh_perturbed":
-        lam = float(lam)
-        rest = 1.0 - lam
+    lam = float(lam)
+    rest = 1.0 - lam
 
-        def a(q):
-            # lam*q + (1-lam)*tanh(q), in place on the tanh array (a scalar
-            # for 0-d q, which the augmented operators simply rebind)
-            q = np.asarray(q, dtype=np.float64)
-            out = np.tanh(q)
-            out *= rest
-            out += lam * q
-            return out
+    def a(q):
+        # lam*q + (1-lam)*tanh(q), in place on the tanh array (a scalar
+        # for 0-d q, which the augmented operators simply rebind)
+        q = np.asarray(q, dtype=np.float64)
+        out = np.tanh(q)
+        out *= rest
+        out += lam * q
+        return out
 
-        def da(q):
-            q = np.asarray(q, dtype=np.float64)
-            return lam + (1.0 - lam) / np.cosh(q) ** 2
+    def da(q):
+        q = np.asarray(q, dtype=np.float64)
+        return lam + (1.0 - lam) / np.cosh(q) ** 2
 
-        return Nonlinearity("tanh_perturbed", lam, (1.0 - lam) * SECH2_SLOPE_MAX, a, da)
-    raise ValueError(f"unknown nonlinearity kind {kind!r}")
+    return Nonlinearity("tanh_perturbed", lam, (1.0 - lam) * SECH2_SLOPE_MAX, a, da)
 
 
 def _ones_like(q):

@@ -35,6 +35,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .config import _n_steps, check
 from .nonlinearity import Nonlinearity
 from .spectral_noise import NoisePath, _spectral_slabs
 
@@ -56,8 +57,9 @@ _BLOCK = 256
 class SolverConfig:
     """Grid, step and flux choices for one solve.
 
-    dt must satisfy the explicit diffusion bound dt <= theta*dx^2/(2d)
-    with dx = 1/n_x, and t_end must be an integer multiple of dt.
+    The config rules hold: dt must satisfy the explicit diffusion bound
+    dt <= theta*dx^2/(2d) with dx = 1/n_x, and t_end must be a whole
+    number >= 1 of steps.
     """
 
     d: int
@@ -67,31 +69,14 @@ class SolverConfig:
     nl: Nonlinearity
     theta: float = 0.5
 
+    n_steps = property(_n_steps)
+
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.n_x < 2:
-            raise ValueError("n_x must be >= 2")
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must lie in (0, 1]")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
-        limit = self.theta * self.dx * self.dx / (2.0 * self.d)
-        if self.dt > limit * (1.0 + 1e-12):
-            raise ValueError(
-                f"CFL violation: dt={self.dt} exceeds theta*dx^2/(2d)={limit}"
-            )
-        steps = self.t_end / self.dt
-        if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
-            raise ValueError("t_end must be an integer multiple of dt")
+        check(d=self.d, n_x=self.n_x, dt=self.dt, t_end=self.t_end, theta=self.theta, mc_solve=True)
 
     @property
     def dx(self) -> float:
         return 1.0 / self.n_x
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
 
 
 @dataclass
@@ -241,11 +226,7 @@ def _noise_alignment(cfg: SolverConfig, noise: NoisePath) -> int:
     """Stride of the noise grid under the solver grid; noise must refine it."""
     if noise.spec.d != cfg.d:
         raise ValueError("noise dimension does not match solver dimension")
-    if cfg.n_x < 2 * noise.spec.kmax + 2:
-        raise ValueError(
-            f"n_x={cfg.n_x} cannot represent modes up to kmax={noise.spec.kmax} "
-            f"without aliasing; need n_x >= {2 * noise.spec.kmax + 2}"
-        )
+    check(n_x=cfg.n_x, kmax=noise.spec.kmax)
     if abs(noise.times[0]) > 1e-12:
         raise ValueError("noise path must start at t=0")
     if noise.coeffs.shape[0] < 2:  # a single row has no step to divide by
@@ -298,8 +279,7 @@ def _march(cfg: SolverConfig, noise: NoisePath, j_source, w0, save_every=1, hook
     """
     ratio = _noise_alignment(cfg, noise)
     d, n_steps = cfg.d, cfg.n_steps
-    if save_every < 1 or n_steps % save_every:
-        raise ValueError("save_every must be >= 1 and divide the step count")
+    check(save_every=save_every, t_end=cfg.t_end, dt=cfg.dt)
     spectral_j, j_faces = _resolve_j(j_source, cfg)
     parts = tuple(range(d)) + (("div_j",) if spectral_j else ())
     save_rows = np.arange(0, n_steps + 1, save_every) * ratio
@@ -420,7 +400,7 @@ def contraction_test(
         dt=cfg.dt,
         initial_distance=float(distances[0]),
         final_distance=float(distances[-1]),
-        min_dissipation=float(np.min(dissipation)) if cfg.n_steps else 0.0,
+        min_dissipation=float(np.min(dissipation)),
         distances=distances,
         dissipation=dissipation,
         mean_drift_rate=drift / cfg.t_end,

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.signal import lfilter
 
+from .config import check
+
 QSPD_MAGIC = b"QSPD"
 QSPD_VERSION = 1
 
@@ -119,9 +121,10 @@ def read_qspd(path) -> Field:
 
 
 class CovarianceSpec:
-    """Noise parameters: dimension d, decay exponent s > d, mode cutoff kmax.
+    """Noise parameters: dimension d, decay exponent s > d, mode cutoff kmax >= 1.
 
-    s > d is the trace-class condition; the constructor rejects s <= d.
+    s > d is the trace-class condition; the constructor applies the config
+    rules, so it rejects s <= d with the message parse_config prints.
     The spectral weight saturates the decay bound: khat(k) = (1+|k|^2)^(-s/2).
     tail_fraction estimates the neglected spectral mass outside the cutoff
     (exact partial sum plus an integral-comparison remainder); it is
@@ -129,12 +132,7 @@ class CovarianceSpec:
     """
 
     def __init__(self, d: int, s: float, kmax: int):
-        if int(d) != d or d < 1:
-            raise ValueError(f"d must be a positive integer, got {d}")
-        if not s > d:
-            raise ValueError(f"trace-class condition needs s > d, got s={s}, d={d}")
-        if int(kmax) != kmax or kmax < 0:
-            raise ValueError(f"kmax must be a non-negative integer, got {kmax}")
+        check(d=d, s=s, kmax=kmax)
         self.d = int(d)
         self.s = float(s)
         self.kmax = int(kmax)
@@ -154,7 +152,7 @@ class CovarianceSpec:
 
     def _tail_fraction(self) -> float:
         ell = np.arange(1, self.kmax + 1, dtype=np.float64)
-        inside = 1.0 + np.sum(self._shell_mass(ell)) if self.kmax else 1.0
+        inside = 1.0 + np.sum(self._shell_mass(ell))
         # explicit shells beyond the cutoff, then an integral comparison for
         # the rest; converges since s > d
         ell_out = np.arange(self.kmax + 1, self.kmax + 2001, dtype=np.float64)
@@ -212,10 +210,7 @@ class ModeSet:
 
 
 def make_mode_set(d: int, kmax: int) -> ModeSet:
-    if int(d) != d or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    if int(kmax) != kmax or kmax < 0:
-        raise ValueError(f"kmax must be a non-negative integer, got {kmax}")
+    check(d=d, kmax=kmax)
     rng1 = np.arange(-kmax, kmax + 1, dtype=np.int64)
     grids = np.meshgrid(*([rng1] * d), indexing="ij")
     m = np.stack(grids, axis=-1).reshape(-1, d)
@@ -422,8 +417,7 @@ def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, parts, out=Non
     zero-padded block, transformed out of place; the zeros are never
     rewritten.  An imaginary residue that is NaN or above 1e-10 raises.
     """
-    if n_x < 2 * modes.kmax + 2:
-        raise ValueError(f"n_x={n_x} aliases modes; need n_x >= {2 * modes.kmax + 2}")
+    check(n_x=n_x, kmax=modes.kmax)
     d, kmax = modes.d, modes.kmax
     n_t = coeffs.shape[0]
     side = (2 * kmax + 1,) * d
@@ -432,7 +426,7 @@ def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, parts, out=Non
         out = np.empty((n_t, len(parts)) + grid)
     # modes are lexicographic in m over [-kmax, kmax]^d, so along each axis
     # m >= 0 fills bins 0..kmax and m < 0 the last kmax bins: (mode, bin) slices
-    halves = [(slice(kmax, None), slice(0, kmax + 1)), (slice(0, kmax), slice(n_x - kmax, None))][: 2 if kmax else 1]
+    halves = [(slice(kmax, None), slice(0, kmax + 1)), (slice(0, kmax), slice(n_x - kmax, None))]
     corners = [tuple(zip(*c)) for c in itertools.product(halves, repeat=d)]
     weights = [None if p == "v" else (modes.ksq.astype(complex) if p == "div_j" else 1j * modes.k[:, p]) for p in parts]
     # at most half the rows, rounded up: the two blocks together hold about one field

@@ -8,16 +8,20 @@ console script.
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspde import cli
+from qspde import cli, config
 from qspde.config import ConfigError, ExperimentConfig, config_hash, parse_config, serialize
 from qspde.hoelder import c1alpha_seminorm, centered_gradient, seminorm_dyadic
-from qspde.spectral_noise import Field, read_qspd, write_qspd
+from qspde.mc_harness import _noise_path
+from qspde.nonlinearity import builtin
+from qspde.solver import SolverConfig, solve
+from qspde.spectral_noise import CovarianceSpec, Field, make_mode_set, read_qspd, write_qspd
 
 BASE = {
     "d": "1",
@@ -205,6 +209,44 @@ def test_parse_violations_pinned(name):
     assert exc.value.violations == expected
 
 
+def test_rules_read_only_experiment_config_fields():
+    # a misspelled field is never held, so its rule would silently never run
+    names = {f.name for f in fields(ExperimentConfig)}
+    for read, _ in config._RULES:
+        assert set(read) <= names, read
+
+
+# at n_x = 8 the stability bound is dt <= 2^-8, so this config can be solved
+SOLVABLE = {"dt": 2.0**-8, "t_end": 2.0**-4}
+
+# (config overrides, the constructor or guard that holds the same values)
+PARITY_CASES = {
+    "theta": ({"theta": 1.5}, lambda: SolverConfig(1, 8, 2.0**-8, 2.0**-4, builtin("identity"), theta=1.5)),
+    "lambda": ({"lambda": 1.5}, lambda: builtin("tanh_perturbed", 1.5)),
+    "s_at_d": ({"s": 1.0}, lambda: CovarianceSpec(1, 1.0, 3)),
+    "kmax": ({"kmax": 0}, lambda: make_mode_set(1, 0)),
+    "cfl_dt": ({"mc_solve": "true"}, lambda: SolverConfig(1, 8, 0.0625, 1.0, builtin("identity"))),
+    "save_every": (
+        dict(SOLVABLE, save_every=3),
+        lambda: solve(
+            SolverConfig(1, 8, 2.0**-8, 2.0**-4, builtin("identity")),
+            _noise_path(parse_config(config_text(**SOLVABLE)), 0),
+            save_every=3,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+def test_constructors_raise_the_first_parse_violation(name):
+    overrides, build = PARITY_CASES[name]
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(config_text(**overrides))
+    with pytest.raises(ValueError) as built:
+        build()
+    assert str(built.value) == parsed.value.violations[0]
+
+
 def test_serialize_pinned_with_every_optional_key():
     text = config_text(
         dt="0.001953125", t_end="0.25", j_mode="file", j_file="j0.qspd", out_dir="runs/a",
@@ -298,6 +340,19 @@ def test_cli_t_end_without_finite_step_count_is_validation_error(tmp_path, capsy
     assert rc == 1
     assert err["error"]["type"] == "validation"
     assert err["error"]["messages"] == ["t_end: must be a finite multiple of dt, got t_end/dt = inf"]
+
+
+def test_cli_solve_reports_the_stability_bound_as_parse_config_does(tmp_path, capsys):
+    # BASE schedules no solve, so it parses although dt = 1/16 breaks the n_x = 8 bound
+    cfgp = write_cfg(tmp_path)
+    rc, err = run_cli(capsys, ["solve", "--config", str(cfgp), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert err["error"]["type"] == "validation"
+    expected = ["dt: violates the diffusion stability bound theta*dx^2/(2d) = 0.00390625, got 0.0625"]
+    assert err["error"]["messages"] == expected
+    with pytest.raises(ConfigError) as exc:
+        parse_config(config_text(mc_solve="true"))
+    assert exc.value.violations == expected
 
 
 def test_cli_usage_error(tmp_path, capsys):

@@ -258,13 +258,16 @@ def test_step_aborts_on_nonfinite_with_location():
 def test_cfl_boundary_accepted_and_excess_rejected():
     limit = 0.5 * (1 / 16) ** 2 / 2.0
     SolverConfig(d=1, n_x=16, dt=limit, t_end=limit * 8, nl=IDENT)
-    with pytest.raises(ValueError, match="CFL"):
-        SolverConfig(d=1, n_x=16, dt=limit * 1.01, t_end=limit * 8, nl=IDENT)
+    with pytest.raises(ValueError, match="stability bound"):
+        SolverConfig(d=1, n_x=16, dt=limit * 1.01, t_end=limit * 1.01 * 8, nl=IDENT)
 
 
 def test_t_end_must_be_step_multiple():
     with pytest.raises(ValueError):
         SolverConfig(d=1, n_x=16, dt=2.0**-10, t_end=0.25 + 2.0**-11, nl=IDENT)
+    # t_end/dt rounds to zero steps, which is no whole number >= 1 of steps
+    with pytest.raises(ValueError, match="t_end must be an integer multiple of dt"):
+        SolverConfig(d=1, n_x=16, dt=2.0**-10, t_end=1e-13, nl=IDENT)
 
 
 def test_config_basic_guards():

@@ -74,11 +74,16 @@ def test_mode_set_rejects_bad_arguments():
         make_mode_set(0, 3)
     with pytest.raises(ValueError):
         make_mode_set(1, -1)
+    # a zero-mode noise has grad v = 0; kmax >= 1 everywhere, as parse_config requires
+    with pytest.raises(ValueError, match="kmax: must be >= 1, got 0"):
+        make_mode_set(2, 0)
 
 
-def test_mode_set_kmax_zero():
-    ms = make_mode_set(2, 0)
-    assert len(ms) == 1 and np.all(ms.m == 0)
+def test_constructors_name_a_non_integer_size_by_its_key():
+    with pytest.raises(ValueError, match="d: expected an integer, got 1.5"):
+        CovarianceSpec(1.5, 3.0, 2)
+    with pytest.raises(ValueError, match="kmax: expected an integer, got 2.5"):
+        make_mode_set(1, 2.5)
 
 
 def _sign_rule_reps(m):
@@ -90,7 +95,7 @@ def _sign_rule_reps(m):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("kmax", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("kmax", [1, 2, 3, 4])
 def test_rep_mask_matches_sign_rule(d, kmax):
     ms = make_mode_set(d, kmax)
     assert np.array_equal(ms.rep_mask, _sign_rule_reps(ms.m))
@@ -513,8 +518,8 @@ def fill_scatter_slabs(modes, coeffs, n_x, parts):
 @pytest.mark.parametrize(
     "d, kmax, n_x",
     [
-        (1, 0, 2), (1, 3, 8), (1, 3, 12), (1, 5, 30), (1, 6, 14),
-        (2, 0, 3), (2, 2, 6), (2, 3, 12), (2, 7, 32),
+        (1, 3, 8), (1, 3, 12), (1, 5, 30), (1, 6, 14),
+        (2, 2, 6), (2, 3, 12), (2, 7, 32),
         (3, 1, 4), (3, 2, 7),
     ],
 )
