@@ -74,6 +74,9 @@ def test_mode_set_rejects_bad_arguments():
         make_mode_set(0, 3)
     with pytest.raises(ValueError):
         make_mode_set(1, -1)
+
+
+def test_mode_set_kmax_zero():
     # a zero-mode noise has grad v = 0; kmax >= 1 everywhere, as parse_config requires
     with pytest.raises(ValueError, match="kmax: must be >= 1, got 0"):
         make_mode_set(2, 0)
