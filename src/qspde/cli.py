@@ -26,7 +26,7 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, config_hash, parse_config, serialize
-from .hoelder import HoelderReport, c1alpha_seminorm, centered_gradient, seminorm_dyadic
+from .hoelder import HoelderReport, _row_stride, c1alpha_seminorm, centered_gradient, seminorm_dyadic
 from .mc_harness import CampaignFailure, McRecord, _noise_path, _solver_setup, covariance_check, run_campaign
 from .nonlinearity import builtin, verify_ellipticity
 from .solver import solve
@@ -145,15 +145,14 @@ def _cmd_solve(cfg: ExperimentConfig, args) -> dict:
         raise _CliError(1, "validation", [str(exc)])
     if cfg.j_mode == "file":
         j_source = _read_j_components(cfg)
-    path = _noise_path(cfg, 0)
-    traj = solve(scfg, path, j_source, save_every=cfg.save_every)
+    traj = solve(scfg, _noise_path(cfg, 0), j_source, save_every=cfg.save_every)
     os.makedirs(cfg.out_dir, exist_ok=True)
     dt_save = cfg.dt * cfg.save_every
-    files = []
-    for name, vals in (("u", traj.u), ("w", traj.w), ("v", traj.v)):
-        fp = os.path.join(cfg.out_dir, f"{name}.qspd")
-        write_qspd(fp, Field(vals, dt=dt_save))
-        files.append(fp)
+    files = [os.path.join(cfg.out_dir, f"{name}.qspd") for name in ("u", "w", "v")]
+    write_qspd(files[1], Field(traj.w, dt=dt_save))
+    write_qspd(files[2], Field(traj.v, dt=dt_save))
+    # u = w + v goes into w's buffer, which is written already
+    write_qspd(files[0], Field(np.add(traj.w, traj.v, out=traj.w), dt=dt_save))
     meta = _meta(
         cfg,
         "solve",
@@ -173,6 +172,12 @@ def _cmd_solve(cfg: ExperimentConfig, args) -> dict:
     }
 
 
+def _require_finite(fp: str, f: Field):
+    if not np.isfinite(f.values).all():
+        i_t, *node = np.argwhere(~np.isfinite(f.values))[0].tolist()
+        raise _CliError(1, "validation", [f"norms: {fp}: non-finite value at time index {i_t}, node {tuple(node)}"])
+
+
 def _cmd_norms(cfg: ExperimentConfig, args) -> dict:
     wp = os.path.join(cfg.out_dir, "w.qspd")
     vp = os.path.join(cfg.out_dir, "v.qspd")
@@ -181,36 +186,34 @@ def _cmd_norms(cfg: ExperimentConfig, args) -> dict:
         v = read_qspd(vp)
     except (OSError, ValueError) as exc:
         raise _CliError(1, "validation", [f"norms: run solve first; {exc}"])
-    for fp, f in ((wp, w), (vp, v)):
-        if not np.isfinite(f.values).all():
-            i_t, *node = np.argwhere(~np.isfinite(f.values))[0].tolist()
-            raise _CliError(1, "validation", [f"norms: {fp}: non-finite value at time index {i_t}, node {tuple(node)}"])
-    grad_w = centered_gradient(w)
-    grad_v = centered_gradient(v)
+    _require_finite(wp, w)
+    _require_finite(vp, v)
+    # gradients only on the rows the dyadic estimator reads
+    s = _row_stride(v.n_t, v.n_x, v.dt)
+    grad_v = centered_gradient(Field(v.values[::s], dt=s * v.dt))
+    gv = [Field(g, dt=s * v.dt, t_start=v.t_start) for g in grad_v.swapaxes(0, 1)]
+    del v  # v is not read again
+    s = _row_stride(w.n_t, w.n_x, w.dt)
+    grad_w = centered_gradient(Field(w.values[::s], dt=s * w.dt))
     wnorms = [c1alpha_seminorm(w, grad_w, alpha) for alpha in cfg.alphas]
     grad_u = np.add(grad_w, grad_v, out=grad_w)  # grad_w is not read again
-    rows = []
+    gu = [Field(g, dt=s * w.dt, t_start=w.t_start) for g in grad_u.swapaxes(0, 1)]
+    del w  # w is not read again
+    rows, values = [], []  # values: one {quantity: theta} map per alpha, in config order
     for alpha, wnorm in zip(cfg.alphas, wnorms):
-        for a in range(w.d):
-            gv = seminorm_dyadic(Field(grad_v[:, a], dt=v.dt, t_start=v.t_start), alpha)
-            gu = seminorm_dyadic(Field(grad_u[:, a], dt=w.dt, t_start=w.t_start), alpha)
-            rows.append((f"grad_v[{a}]", gv))
-            rows.append((f"grad_u[{a}]", gu))
-        rows.append(
-            (
-                "w_c1alpha",
-                HoelderReport(alpha=alpha, naive=None, theta=wnorm, pair=None, domain="composite"),
-            )
-        )
+        group = []
+        for a, (fv, fu) in enumerate(zip(gv, gu)):
+            group.append((f"grad_v[{a}]", seminorm_dyadic(fv, alpha)))
+            group.append((f"grad_u[{a}]", seminorm_dyadic(fu, alpha)))
+        group.append(("w_c1alpha", HoelderReport(alpha=alpha, naive=None, theta=wnorm, pair=None, domain="composite")))
+        rows += group
+        values.append({name: rep.theta for name, rep in group})
     cp = os.path.join(cfg.out_dir, "norms.csv")
     with open(cp, "w") as fh:
         fh.write(f"# config_hash={config_hash(cfg)} seed={cfg.seed}\n")
         fh.write("quantity," + HoelderReport.csv_header() + "\n")
         for name, rep in rows:
             fh.write(f"{name},{rep.to_csv_row()}\n")
-    values = {
-        name: rep.theta for name, rep in rows
-    }
     return {"written": [cp], "config_hash": config_hash(cfg), "seed": cfg.seed, "values": values}
 
 

@@ -11,6 +11,7 @@ one is shipped as a calibrated number.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -128,20 +129,34 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _dyadic_levels(f: Field):
+def _dyadic_levels(n_x: int, dt: float):
     """Valid dyadic scales: R = 2^-n with R*n_x and R^2/dt both integral."""
     levels = []
     n = 1
     while True:
         R = 2.0**-n
-        sx = f.n_x * R
-        st = R * R / f.dt
+        sx = n_x * R
+        st = R * R / dt
         if sx < 1.0 - 1e-9 or st < 1.0 - 1e-9:
             break
         if abs(sx - round(sx)) < 1e-9 and abs(st - round(st)) < 1e-9:
             levels.append((n, R, int(round(st)), int(round(sx))))
         n += 1
     return levels
+
+
+def _row_stride(n_t: int, n_x: int, dt: float) -> int:
+    """Stride s of the time rows seminorm_dyadic reads on an n_t-row grid.
+
+    s = gcd(st, n_t - 1), st the time stride of the finest valid scale: a
+    power of two that divides every scale's stride, so the estimate on
+    Field(values[::s], dt=s*dt, t_start) has the same theta bits, pair and
+    level_R.  1 when the estimator refuses the grid, so it refuses it alike.
+    """
+    levels = _dyadic_levels(n_x, dt)
+    if n_t < 2 or not (levels and _is_pow2(n_x) and _is_pow2(n_t - 1)):
+        return 1
+    return math.gcd(levels[-1][2], n_t - 1)
 
 
 def seminorm_dyadic(f: Field, alpha: float) -> HoelderReport:
@@ -169,7 +184,7 @@ def seminorm_dyadic(f: Field, alpha: float) -> HoelderReport:
             f"dyadic estimator needs power-of-two n_x and n_t-1, "
             f"got n_x={f.n_x}, n_t={f.n_t}"
         )
-    levels = _dyadic_levels(f)
+    levels = _dyadic_levels(f.n_x, f.dt)
     if not levels:
         raise ValueError("no dyadic scale fits this grid (non-dyadic dt?)")
 
@@ -287,9 +302,12 @@ def _windowed_ranges(series: np.ndarray) -> np.ndarray:
 def c1alpha_seminorm(w: Field, grad_w: np.ndarray, alpha: float) -> float:
     """Composite seminorm: dyadic [grad w]_alpha plus the temporal quotient.
 
-    grad_w has shape (n_t, d) + grid (see centered_gradient).  The
-    gradient part is the max over components of the dyadic estimate; the
-    temporal part is the per-site sup of
+    grad_w is centered_gradient(w), shape (n_t, d) + grid, or only its
+    rows [::s] that the dyadic estimator reads, s = _row_stride(w.n_t,
+    w.n_x, w.dt): the gradient of Field(w.values[::s], dt=s*w.dt), which
+    saves computing and holding the other rows.  The gradient part is the
+    max over components of the dyadic estimate; the temporal part is the
+    per-site sup of
     |w(t,x)-w(t',x)| / |t-t'|^((1+alpha)/2) over all time pairs.
 
     Lags are visited in increasing order, and a site is skipped at a lag
@@ -303,9 +321,12 @@ def c1alpha_seminorm(w: Field, grad_w: np.ndarray, alpha: float) -> float:
     lag whose every site is skipped costs no subtraction.  A NaN increment
     raises ValueError naming a NaN sample.
     """
-    if grad_w.shape != (w.n_t, w.d) + w.values.shape[1:]:
+    s = _row_stride(w.n_t, w.n_x, w.dt)
+    if grad_w.shape[:1] == (w.n_t,):
+        grad_w = grad_w[::s]
+    if grad_w.shape != (len(range(0, w.n_t, s)), w.d) + w.values.shape[1:]:
         raise ValueError("grad_w shape does not match the field grid")
-    return _max_component_theta(grad_w, w.dt, alpha) + _temporal_sup(w, alpha)
+    return _max_component_theta(grad_w, s * w.dt, alpha) + _temporal_sup(w, alpha)
 
 
 def _max_component_theta(slabs: np.ndarray, dt: float, alpha: float) -> float:

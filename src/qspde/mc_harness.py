@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import check
-from .hoelder import _max_component_theta, c1alpha_seminorm, centered_gradient
+from .hoelder import _max_component_theta, _row_stride, c1alpha_seminorm, centered_gradient
 from .nonlinearity import builtin
 from .solver import GRAD_V_NEGATED, SolverConfig, solve
 from .spectral_noise import (
@@ -94,19 +94,21 @@ def _campaign_record(cfg, r: int) -> McRecord:
     alpha = float(cfg.alphas[0])
     path = _noise_path(cfg, r)
 
+    # the gradients live only on the rows the dyadic estimator reads
     if cfg.mc_solve:
         scfg, j_source = _solver_setup(cfg)
         traj = solve(scfg, path, j_source, save_every=cfg.save_every)
         dt_save = cfg.dt * cfg.save_every
-        wf = Field(traj.w, dt=dt_save)
-        grad_w = centered_gradient(wf)
-        gv = traj.grad_v
-        grad_v_alpha = _max_component_theta(gv, dt_save, alpha)
-        grad_u_alpha = _max_component_theta(grad_w + gv, dt_save, alpha)
-        w_norm = c1alpha_seminorm(wf, grad_w, alpha)
+        s = _row_stride(len(traj.w), cfg.n_x, dt_save)
+        grad_w = centered_gradient(Field(traj.w[::s], dt=s * dt_save))
+        gv = traj.grad_v[::s]
+        grad_v_alpha = _max_component_theta(gv, s * dt_save, alpha)
+        grad_u_alpha = _max_component_theta(grad_w + gv, s * dt_save, alpha)
+        w_norm = c1alpha_seminorm(Field(traj.w, dt=dt_save), grad_w, alpha)
     else:
-        gv = _spectral_slabs(path.modes, path.coeffs, cfg.n_x, range(cfg.d))
-        grad_v_alpha = _max_component_theta(gv, cfg.dt, alpha)
+        s = _row_stride(len(path.coeffs), cfg.n_x, cfg.dt)
+        gv = _spectral_slabs(path.modes, path.coeffs[::s], cfg.n_x, range(cfg.d))
+        grad_v_alpha = _max_component_theta(gv, s * cfg.dt, alpha)
         grad_u_alpha = None
         w_norm = None
     return McRecord(
@@ -537,10 +539,11 @@ def regularity_gap_study(
         cfg = SolverConfig(1, n_x, 1.0 / (4 * n_x * n_x), 1.0, nl)
         traj = solve(cfg, master, None, save_every=cfg.n_steps // n_save)
         dt_save = 1.0 / n_save
-        wf = Field(traj.w, dt=dt_save)
-        vf = Field(traj.v, dt=dt_save)
-        theta_w = c1alpha_seminorm(wf, centered_gradient(wf), alpha)
-        theta_v = c1alpha_seminorm(vf, centered_gradient(vf), alpha)
+        s = _row_stride(len(traj.w), n_x, dt_save)
+        theta_w, theta_v = (
+            c1alpha_seminorm(Field(f, dt=dt_save), centered_gradient(Field(f[::s], dt=s * dt_save)), alpha)
+            for f in (traj.w, traj.v)
+        )
         out.append(GapLevel(n_x, n_save, float(theta_w), float(theta_v)))
     w_rel = abs(out[-1].theta_w / out[-2].theta_w - 1.0)
     v_growth = tuple(

@@ -268,10 +268,10 @@ def _keep(rows, n0, every, out):
 def _march(cfg: SolverConfig, noise: NoisePath, j_source, w0, save_every=1, hook=None):
     """March the batch w0, shape (B,) + grid, from t = 0 to t_end.
 
-    Returns (save_rows, saves, grad_v, drift): the noise rows of every
-    save_every-th step, the batch at those steps, shape (n_saves, B) + grid
-    and starting with w0, the raw grad v there, shape (n_saves, d) + grid,
-    and the fmax over steps and rows of |mean - mean of w0|.  Step i reads
+    Returns (save_rows, saves, grad_v, drift): the slice of the noise
+    rows of every save_every-th step, the batch at those steps, shape
+    (n_saves, B) + grid and starting with w0, the raw grad v there, shape
+    (n_saves, d) + grid, and the fmax over steps and rows of |mean - mean of w0|.  Step i reads
     noise row i*ratio.  grad v (and div j for the grad_v_negated wiring)
     is evaluated _BLOCK steps at a time, so each grad v row is evaluated
     once; the march never reads the last one, which is evaluated at the
@@ -282,9 +282,11 @@ def _march(cfg: SolverConfig, noise: NoisePath, j_source, w0, save_every=1, hook
     check(save_every=save_every, t_end=cfg.t_end, dt=cfg.dt)
     spectral_j, j_faces = _resolve_j(j_source, cfg)
     parts = tuple(range(d)) + (("div_j",) if spectral_j else ())
-    save_rows = np.arange(0, n_steps + 1, save_every) * ratio
-    saves = np.empty(save_rows.shape + w0.shape)
-    grad_v = np.empty(save_rows.shape + (d,) + w0.shape[1:])
+    end = n_steps * ratio
+    save_rows = slice(0, end + 1, save_every * ratio)
+    n_saves = n_steps // save_every + 1
+    saves = np.empty((n_saves,) + w0.shape)
+    grad_v = np.empty((n_saves, d) + w0.shape[1:])
     saves[0] = w0
     # bitwise row.mean(), as advance_block takes the means of the states
     mean0 = np.add.reduce(w0.reshape(w0.shape[0], -1), -1) / w0[0].size
@@ -302,7 +304,7 @@ def _march(cfg: SolverConfig, noise: NoisePath, j_source, w0, save_every=1, hook
         drift = max(drift, float(np.fmax.reduce(np.abs(means - mean0), None)))
         _keep(march.ring[1 : n + 1], lo + 1, save_every, saves)
         march.ring[0] = march.ring[n]
-    _spectral_slabs(noise.modes, noise.coeffs[save_rows[-1:]], cfg.n_x, range(d), grad_v[-1:])
+    _spectral_slabs(noise.modes, noise.coeffs[end : end + 1], cfg.n_x, range(d), grad_v[-1:])
     return save_rows, saves, grad_v, drift
 
 
@@ -323,10 +325,11 @@ def solve(
     """
     grid = (cfg.n_x,) * cfg.d
     save_rows, saves, grad_v, drift = _march(cfg, noise, j_source, np.zeros((1,) + grid), save_every)
-    v = np.empty((save_rows.size,) + grid)
+    v = np.empty(saves.shape[:1] + grid)
+    # save_rows is a slice, so the coefficients are read in place, not copied
     _spectral_slabs(noise.modes, noise.coeffs[save_rows], cfg.n_x, ("v",), v[:, None])
     return Trajectory(
-        times=np.asarray(noise.times)[save_rows],
+        times=np.array(noise.times[save_rows]),
         w=saves[:, 0],
         v=v,
         grad_v=grad_v,

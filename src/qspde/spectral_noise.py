@@ -17,7 +17,6 @@ import struct
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .config import check
 
@@ -358,7 +357,10 @@ def sample_mode_states(
 
     uniform = n_steps > 0 and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-12, atol=1e-15)
     if uniform and times[0] >= 0.0 and times[-1] <= 1.0:
-        # constant-coefficient recursion, one lfilter per mode and block
+        # constant-coefficient recursion, one lfilter per mode and block;
+        # imported here: loading scipy.signal costs about 0.8 s and 70 MB
+        from scipy.signal import lfilter
+
         decay, var = step_moments(ksq, kh, 0.0, times[1] - times[0])
         sig = np.sqrt(var)
         for j in range(ksq.size):

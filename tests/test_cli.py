@@ -8,6 +8,7 @@ console script.
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -21,7 +22,7 @@ from qspde.hoelder import c1alpha_seminorm, centered_gradient, seminorm_dyadic
 from qspde.mc_harness import _noise_path
 from qspde.nonlinearity import builtin
 from qspde.solver import SolverConfig, solve
-from qspde.spectral_noise import CovarianceSpec, Field, make_mode_set, read_qspd, write_qspd
+from qspde.spectral_noise import CovarianceSpec, Field, make_mode_set, read_qspd, sample_mode_states, write_qspd
 
 BASE = {
     "d": "1",
@@ -460,7 +461,7 @@ def test_cli_solve_then_norms_thin_shell(tmp_path, capsys):
         "grad_u[0]": seminorm_dyadic(Field(gw[:, 0] + gv[:, 0], dt=w.dt), 0.3).theta,
         "w_c1alpha": c1alpha_seminorm(w, gw, 0.3),
     }
-    assert summary["values"] == expect
+    assert summary["values"] == [expect]
 
     lines = (out / "norms.csv").read_text().splitlines()
     assert lines[0].startswith("# config_hash=") and "seed=101" in lines[0]
@@ -475,13 +476,15 @@ def test_cli_norms_multi_alpha_rows_match_single_alpha_runs(tmp_path, capsys):
 
     def norms_rows(alpha):
         p = write_cfg(tmp_path, name=f"norms_{alpha}.cfg", alpha=alpha, **SOLVE_OVERRIDES)
-        assert run_cli(capsys, ["norms", "--config", str(p), "--out", str(out)])[0] == 0
-        return (out / "norms.csv").read_text().splitlines()[2:]
+        rc, summary = run_cli(capsys, ["norms", "--config", str(p), "--out", str(out)])
+        assert rc == 0
+        return (out / "norms.csv").read_text().splitlines()[2:], summary["values"]
 
-    both = norms_rows("0.2, 0.3")
+    both, values = norms_rows("0.2, 0.3")
     assert len(both) == 2 * 3
-    assert both[:3] == norms_rows("0.2")
-    assert both[3:] == norms_rows("0.3")
+    # the summary keeps one {quantity: theta} map per alpha, in config order
+    assert (both[:3], values[:1]) == norms_rows("0.2")
+    assert (both[3:], values[1:]) == norms_rows("0.3")
 
 
 def test_cli_norms_without_solve_outputs(tmp_path, capsys):
@@ -507,6 +510,41 @@ def test_cli_norms_rejects_non_finite_input(tmp_path, capsys, name):
     msg = "\n".join(err["error"]["messages"])
     assert f"{name}.qspd" in msg and "time index 5" in msg and "node (3,)" in msg
     assert not (out / "norms.csv").exists()
+
+
+# d = 2, 1025 saved rows; the dyadic estimator reads every 8th of them
+MEMORY_OVERRIDES = dict(d="2", s="3.0", kmax="15", n_x="32", dt="0.0001220703125", t_end="0.125", save_every="1")
+MEMORY_FIELD_BYTES = 1025 * 32 * 32 * 8
+
+
+def traced_peak(capsys, argv) -> int:
+    tracemalloc.start()
+    try:
+        rc, _ = run_cli(capsys, argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    return peak
+
+
+def test_cli_solve_peak_memory(tmp_path, capsys):
+    # w, grad v (d fields), v and the noise coefficients; u goes into w's
+    # buffer and v reads the coefficients of the saves in place
+    sample_mode_states(CovarianceSpec(2, 3.0, 1), np.arange(3) / 4, seed=0)  # load lfilter before tracing
+    cfgp = write_cfg(tmp_path, **MEMORY_OVERRIDES)
+    peak = traced_peak(capsys, ["solve", "--config", str(cfgp), "--out", str(tmp_path / "run")])
+    assert peak <= 7.0 * MEMORY_FIELD_BYTES
+
+
+def test_cli_norms_peak_memory(tmp_path, capsys):
+    # gradients on 129 of the 1025 rows; v is dropped after its gradient,
+    # so the temporal quotient's series copy and buffer meet w alone
+    cfgp = write_cfg(tmp_path, **MEMORY_OVERRIDES)
+    out = tmp_path / "run"
+    assert run_cli(capsys, ["solve", "--config", str(cfgp), "--out", str(out)])[0] == 0
+    peak = traced_peak(capsys, ["norms", "--config", str(cfgp), "--out", str(out)])
+    assert peak <= 4.5 * MEMORY_FIELD_BYTES
 
 
 def test_cli_mc_deterministic_and_stable(tmp_path, capsys):

@@ -209,7 +209,7 @@ def roll_dyadic(f, alpha):
     """
     best, best_pair, best_R = 0.0, None, None
     offsets = list(itertools.product((-1, 0, 1), repeat=f.d))
-    for _, R, st, sx in hoelder._dyadic_levels(f):
+    for _, R, st, sx in hoelder._dyadic_levels(f.n_x, f.dt):
         sub = f.values[(slice(None, None, st),) + (slice(None, None, sx),) * f.d]
         m_t = sub.shape[0]
         for dt_idx in range(min(4, m_t)):
@@ -585,3 +585,42 @@ def test_centered_gradient_matches_roll_formula(d, n_x):
         axis=1,
     )
     assert centered_gradient(f).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("t_start", [0.0, 0.375])
+@pytest.mark.parametrize("n_x", [8, 16, 32])
+@pytest.mark.parametrize("d", [1, 2])
+def test_dyadic_on_the_row_stride_matches_the_full_field(d, n_x, t_start):
+    # every dyadic grid of the family up to 2^17 samples, n_t - 1 from 16
+    # to 1024 and dt from 2^-6 to 2^-13; s = 1 on some of them
+    rng = np.random.default_rng(100 * d + n_x)
+    strides = set()
+    for e_t, e_dt in itertools.product(range(4, 11), range(6, 14)):
+        n_t, dt = 2**e_t + 1, 2.0**-e_dt
+        if not hoelder._dyadic_levels(n_x, dt) or n_t * n_x**d > 2**17:
+            continue
+        s = hoelder._row_stride(n_t, n_x, dt)
+        shape = (n_t,) + (n_x,) * d
+        # a random walk in time plus noise, so the witness lies at varying scales
+        vals = rng.uniform() * np.cumsum(rng.standard_normal(shape), axis=0) + rng.standard_normal(shape)
+        full = seminorm_dyadic(Field(vals, dt=dt, t_start=t_start), 0.3)
+        kept = seminorm_dyadic(Field(vals[::s], dt=s * dt, t_start=t_start), 0.3)
+        assert (kept.theta.hex(), kept.pair, kept.level_R) == (full.theta.hex(), full.pair, full.level_R)
+        strides.add(s)
+    assert 1 in strides and max(strides) > 1
+
+
+def test_c1alpha_with_the_row_stride_gradient_keeps_the_full_gradient_value():
+    rng = np.random.default_rng(31)
+    for d, n_x, n_t, dt in ((1, 16, 257, 2.0**-12), (2, 8, 129, 2.0**-10), (2, 16, 65, 2.0**-11)):
+        f = Field(np.cumsum(rng.standard_normal((n_t,) + (n_x,) * d), axis=0), dt=dt, t_start=0.375)
+        s = hoelder._row_stride(n_t, n_x, dt)
+        assert s > 1
+        full = centered_gradient(f)
+        kept = centered_gradient(Field(f.values[::s], dt=s * dt))
+        assert kept.tobytes() == full[::s].tobytes()
+        want = unpruned_c1alpha(f, full, 0.3)  # the dyadic part on every row
+        assert _same_bits(c1alpha_seminorm(f, kept, 0.3), want)
+        assert _same_bits(c1alpha_seminorm(f, full, 0.3), want)
+        with pytest.raises(ValueError, match="shape"):
+            c1alpha_seminorm(f, full[1:], 0.3)

@@ -1,7 +1,11 @@
 """Noise sampler tests: frozen oracles first, then laws and plumbing."""
 
 import math
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -310,6 +314,46 @@ def test_sampler_peak_memory_near_coeffs(times, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * path.coeffs.nbytes
+
+
+# Run in a fresh interpreter: importing qspde, a scaling fit (non-uniform
+# times) and `qspde norms` never load scipy.signal; uniform sampling does.
+DEFERRED_IMPORT_SCRIPT = """
+import sys
+import numpy as np
+import qspde
+from qspde import cli
+
+def loaded():
+    return "scipy.signal" in sys.modules
+
+seen = [loaded()]
+qspde.increment_scaling_fit(qspde.CovarianceSpec(1, 1.5, 127), 2, seed=1)
+seen.append(loaded())
+x = np.arange(8) / 8
+w = np.sin(2 * np.pi * (x + np.arange(17)[:, None] / 64))
+for name, vals in (("w", w), ("v", 0.5 * w * w)):
+    qspde.write_qspd(f"out/{name}.qspd", qspde.Field(vals, dt=2.0**-6))  # the saves of exp.cfg
+assert cli.main(["norms", "--config", "exp.cfg"]) == 0
+seen.append(loaded())
+qspde.sample_mode_states(qspde.CovarianceSpec(1, 2.0, 3), np.arange(5) / 4, seed=0)
+seen.append(loaded())
+print(seen)
+"""
+
+
+def test_scipy_signal_loads_only_for_uniform_sampling(tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    (tmp_path / "out").mkdir()
+    config = dict(d=1, s=2.0, kmax=3, n_x=8, dt=2.0**-8, t_end=0.25, save_every=4, alpha=0.3)
+    config.update(nonlinearity="tanh_perturbed", j_mode="zero", seed=1, n_realizations=1, out_dir="out")
+    (tmp_path / "exp.cfg").write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", DEFERRED_IMPORT_SCRIPT], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[False, False, False, True]"
 
 
 def test_strided_sampler_bitwise_matches_full_grid(monkeypatch):
