@@ -299,15 +299,14 @@ def _windowed_ranges(series: np.ndarray) -> np.ndarray:
     return table
 
 
-def c1alpha_seminorm(w: Field, grad_w: np.ndarray, alpha: float) -> float:
+def c1alpha_seminorm(w: Field, alpha: float) -> float:
     """Composite seminorm: dyadic [grad w]_alpha plus the temporal quotient.
 
-    grad_w is centered_gradient(w), shape (n_t, d) + grid, or only its
-    rows [::s] that the dyadic estimator reads, s = _row_stride(w.n_t,
-    w.n_x, w.dt): the gradient of Field(w.values[::s], dt=s*w.dt), which
-    saves computing and holding the other rows.  The gradient part is the
-    max over components of the dyadic estimate; the temporal part is the
-    per-site sup of
+    The gradient part is the max over components of the dyadic estimate
+    of centered_gradient(w), computed only on the rows [::s] that the
+    dyadic estimator reads, s = _row_stride(w.n_t, w.n_x, w.dt): the
+    gradient of Field(w.values[::s], dt=s*w.dt), which has the same
+    estimate.  The temporal part is the per-site sup of
     |w(t,x)-w(t',x)| / |t-t'|^((1+alpha)/2) over all time pairs.
 
     Lags are visited in increasing order, and a site is skipped at a lag
@@ -322,10 +321,7 @@ def c1alpha_seminorm(w: Field, grad_w: np.ndarray, alpha: float) -> float:
     raises ValueError naming a NaN sample.
     """
     s = _row_stride(w.n_t, w.n_x, w.dt)
-    if grad_w.shape[:1] == (w.n_t,):
-        grad_w = grad_w[::s]
-    if grad_w.shape != (len(range(0, w.n_t, s)), w.d) + w.values.shape[1:]:
-        raise ValueError("grad_w shape does not match the field grid")
+    grad_w = centered_gradient(Field(w.values[::s], dt=s * w.dt))
     return _max_component_theta(grad_w, s * w.dt, alpha) + _temporal_sup(w, alpha)
 
 

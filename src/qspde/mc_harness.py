@@ -94,23 +94,19 @@ def _campaign_record(cfg, r: int) -> McRecord:
     alpha = float(cfg.alphas[0])
     path = _noise_path(cfg, r)
 
-    # the gradients live only on the rows the dyadic estimator reads
+    # gradients only on the rows the dyadic estimator reads, every s-th of the save grid
+    every = cfg.save_every if cfg.mc_solve else 1
+    dt_s = cfg.dt * every
+    s = _row_stride(cfg.n_steps // every + 1, cfg.n_x, dt_s)
+    gv = _spectral_slabs(path.modes, path.coeffs[:: every * s], cfg.n_x, range(cfg.d))
+    grad_v_alpha = _max_component_theta(gv, s * dt_s, alpha)
+    grad_u_alpha = w_norm = None
     if cfg.mc_solve:
         scfg, j_source = _solver_setup(cfg)
-        traj = solve(scfg, path, j_source, save_every=cfg.save_every)
-        dt_save = cfg.dt * cfg.save_every
-        s = _row_stride(len(traj.w), cfg.n_x, dt_save)
-        grad_w = centered_gradient(Field(traj.w[::s], dt=s * dt_save))
-        gv = traj.grad_v[::s]
-        grad_v_alpha = _max_component_theta(gv, s * dt_save, alpha)
-        grad_u_alpha = _max_component_theta(grad_w + gv, s * dt_save, alpha)
-        w_norm = c1alpha_seminorm(Field(traj.w, dt=dt_save), grad_w, alpha)
-    else:
-        s = _row_stride(len(path.coeffs), cfg.n_x, cfg.dt)
-        gv = _spectral_slabs(path.modes, path.coeffs[::s], cfg.n_x, range(cfg.d))
-        grad_v_alpha = _max_component_theta(gv, s * cfg.dt, alpha)
-        grad_u_alpha = None
-        w_norm = None
+        w = solve(scfg, path, j_source, save_every=every).w
+        grad_w = centered_gradient(Field(w[::s], dt=s * dt_s))
+        grad_u_alpha = _max_component_theta(np.add(grad_w, gv, out=grad_w), s * dt_s, alpha)
+        w_norm = c1alpha_seminorm(Field(w, dt=dt_s), alpha)
     return McRecord(
         seed=r,
         grad_v_alpha=float(grad_v_alpha),
@@ -195,6 +191,14 @@ def run_campaign(cfg, workers: int = 1, realizations: Optional[Sequence[int]] = 
 # covariance verification
 
 
+def _check_draws(spec: CovarianceSpec, N: int, j: int):
+    """Reject, before any sampling, fewer than two draws or a gradient axis j outside [0, d)."""
+    if not N >= 2:
+        raise ValueError(f"N must be >= 2, got {N}")
+    if not 0 <= j < spec.d:
+        raise ValueError(f"axis {j} out of range for d={spec.d}")
+
+
 @dataclass
 class CovarianceCheck:
     """MC-vs-closed-form residuals at chosen space-time point pairs."""
@@ -230,6 +234,7 @@ def covariance_check(
     length-d; all times must lie in [0, 1].  PASS needs every residual
     within 4 MC standard errors.  A point with exactly zero sample
     variance (e.g. t'=0, where h vanishes) passes iff its residual is 0.
+    Needs N >= 2 and 0 <= j < d.
     """
     pts = []
     for (t, x, t2, x2) in points:
@@ -240,8 +245,7 @@ def covariance_check(
         if not (0.0 <= t <= 1.0 and 0.0 <= t2 <= 1.0):
             raise ValueError("times must lie in [0, 1]")
         pts.append((float(t), xa, float(t2), xb))
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    _check_draws(spec, N, j)
 
     times = sorted({p[0] for p in pts} | {p[2] for p in pts})
     t_index = {t: i for i, t in enumerate(times)}
@@ -336,10 +340,11 @@ def increment_scaling_fit(
     kmax pass spatial_lags.  The second-moment slopes target s-d in space
     and (s-d)/2 in time; standard errors propagate the per-lag MC spread
     through the least-squares fit.  Requires s - d < 2 so the spatial
-    exponent is resolvable against the grid.
+    exponent is resolvable against the grid.  Needs N >= 2 and 0 <= j < d.
     """
     if not spec.s - spec.d < 2:
         raise ValueError("spatial exponent out of resolvable range; need s - d < 2")
+    _check_draws(spec, N, j)
     n_x = 2 * spec.kmax + 2
     if spatial_lags is None:
         spatial_lags = 2.0 ** np.arange(-8, -3)
@@ -538,12 +543,7 @@ def regularity_gap_study(
     for n_x, n_save in levels:
         cfg = SolverConfig(1, n_x, 1.0 / (4 * n_x * n_x), 1.0, nl)
         traj = solve(cfg, master, None, save_every=cfg.n_steps // n_save)
-        dt_save = 1.0 / n_save
-        s = _row_stride(len(traj.w), n_x, dt_save)
-        theta_w, theta_v = (
-            c1alpha_seminorm(Field(f, dt=dt_save), centered_gradient(Field(f[::s], dt=s * dt_save)), alpha)
-            for f in (traj.w, traj.v)
-        )
+        theta_w, theta_v = (c1alpha_seminorm(Field(f, dt=1.0 / n_save), alpha) for f in (traj.w, traj.v))
         out.append(GapLevel(n_x, n_save, float(theta_w), float(theta_v)))
     w_rel = abs(out[-1].theta_w / out[-2].theta_w - 1.0)
     v_growth = tuple(

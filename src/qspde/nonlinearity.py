@@ -109,10 +109,13 @@ def verify_ellipticity(
     Samples q, q' uniformly in the radius ball and directions xi on the
     unit sphere; PASS needs min Rayleigh quotient >= lam - 1e-12, operator
     norm <= 1 + 1e-12, and Lipschitz ratio <= Lam*(1 + 1e-6).  Violations
-    are reported, not raised.
+    are reported, not raised; bad arguments raise before any sampling.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
+    check(d=d)
     rng = np.random.default_rng(seed)
     q = _ball(rng, n_samples, d, radius)
     q2 = _ball(rng, n_samples, d, radius)

@@ -17,9 +17,10 @@ it.  _march steps a batch of slabs shaped (B,) + grid with slice
 differences into buffers allocated once per march, in blocks of _BLOCK
 steps: grad v is evaluated once per row and averaged onto faces once per
 block, the states go into a ring, and the means, the finiteness check
-and the saves are taken once per block.  It returns the saved batch,
-grad v at the saves and the mean drift.  solve is its B = 1 call and
-contraction_test its B = 2 call with a hook that sums the dissipation.
+and the saves are taken once per block.  It returns the saved batch and
+the mean drift, not grad v: its readers evaluate it on their own rows.
+solve is its B = 1 call and contraction_test its B = 2 call with a hook
+that sums the dissipation.
 Every output equals, bit for bit, that of the np.roll formulation kept
 as the test oracle, at any block size.
 
@@ -83,15 +84,13 @@ class SolverConfig:
 class Trajectory:
     """Recorded slabs of one solve, on the save-time grid.
 
-    w, v at shape (n_saves,) + grid, grad_v at (n_saves, d) + grid.
-    mean_drift_rate is max_t |mean w(t)| divided by t_end; the flux form
-    keeps it at roundoff scale.
+    w, v at shape (n_saves,) + grid.  mean_drift_rate is max_t |mean w(t)|
+    divided by t_end; the flux form keeps it at roundoff scale.
     """
 
     times: np.ndarray
     w: np.ndarray
     v: np.ndarray
-    grad_v: np.ndarray
     mean_drift_rate: float
 
     @property
@@ -268,25 +267,22 @@ def _keep(rows, n0, every, out):
 def _march(cfg: SolverConfig, noise: NoisePath, j_source, w0, save_every=1, hook=None):
     """March the batch w0, shape (B,) + grid, from t = 0 to t_end.
 
-    Returns (save_rows, saves, grad_v, drift): the slice of the noise
-    rows of every save_every-th step, the batch at those steps, shape
-    (n_saves, B) + grid and starting with w0, the raw grad v there, shape
-    (n_saves, d) + grid, and the fmax over steps and rows of |mean - mean of w0|.  Step i reads
-    noise row i*ratio.  grad v (and div j for the grad_v_negated wiring)
-    is evaluated _BLOCK steps at a time, so each grad v row is evaluated
-    once; the march never reads the last one, which is evaluated at the
-    end.  hook(i, g, f) is the divergence hook of step i.
+    Returns (save_rows, saves, drift): the slice of the noise rows of
+    every save_every-th step, the batch at those steps, shape
+    (n_saves, B) + grid and starting with w0, and the fmax over steps and
+    rows of |mean - mean of w0|.  Step i reads noise row i*ratio; grad v
+    (and div j for the grad_v_negated wiring) is evaluated _BLOCK rows at
+    a time, n_steps rows in all.  hook(i, g, f) is the divergence hook of
+    step i.
     """
     ratio = _noise_alignment(cfg, noise)
     d, n_steps = cfg.d, cfg.n_steps
     check(save_every=save_every, t_end=cfg.t_end, dt=cfg.dt)
     spectral_j, j_faces = _resolve_j(j_source, cfg)
     parts = tuple(range(d)) + (("div_j",) if spectral_j else ())
-    end = n_steps * ratio
-    save_rows = slice(0, end + 1, save_every * ratio)
+    save_rows = slice(0, n_steps * ratio + 1, save_every * ratio)
     n_saves = n_steps // save_every + 1
     saves = np.empty((n_saves,) + w0.shape)
-    grad_v = np.empty((n_saves, d) + w0.shape[1:])
     saves[0] = w0
     # bitwise row.mean(), as advance_block takes the means of the states
     mean0 = np.add.reduce(w0.reshape(w0.shape[0], -1), -1) / w0[0].size
@@ -297,15 +293,13 @@ def _march(cfg: SolverConfig, noise: NoisePath, j_source, w0, save_every=1, hook
         n = min(_BLOCK, n_steps - lo)
         block = _spectral_slabs(noise.modes, noise.coeffs[lo * ratio : (lo + n) * ratio : ratio], cfg.n_x, parts)
         gv = block[:, :d]
-        _keep(gv, lo, save_every, grad_v)
         _face_average(gv, d, gv)
         means = march.advance_block(lo, n, cfg.dt, gv, block[:, d] if spectral_j else None, j_faces, hook)
         # fmax skips NaN means, as a running max() over the steps would
         drift = max(drift, float(np.fmax.reduce(np.abs(means - mean0), None)))
         _keep(march.ring[1 : n + 1], lo + 1, save_every, saves)
         march.ring[0] = march.ring[n]
-    _spectral_slabs(noise.modes, noise.coeffs[end : end + 1], cfg.n_x, range(d), grad_v[-1:])
-    return save_rows, saves, grad_v, drift
+    return save_rows, saves, drift
 
 
 def solve(
@@ -324,7 +318,7 @@ def solve(
     arguments.
     """
     grid = (cfg.n_x,) * cfg.d
-    save_rows, saves, grad_v, drift = _march(cfg, noise, j_source, np.zeros((1,) + grid), save_every)
+    save_rows, saves, drift = _march(cfg, noise, j_source, np.zeros((1,) + grid), save_every)
     v = np.empty(saves.shape[:1] + grid)
     # save_rows is a slice, so the coefficients are read in place, not copied
     _spectral_slabs(noise.modes, noise.coeffs[save_rows], cfg.n_x, ("v",), v[:, None])
@@ -332,7 +326,6 @@ def solve(
         times=np.array(noise.times[save_rows]),
         w=saves[:, 0],
         v=v,
-        grad_v=grad_v,
         mean_drift_rate=drift / cfg.t_end,
     )
 
@@ -388,7 +381,7 @@ def contraction_test(
         # sum over the faces normal to one axis of (G1-G2).(A(G1+gv)-A(G2+gv))
         dissipation[i] += float(np.sum((g[0] - g[1]) * (f[0] - f[1]))) * cell
 
-    _, saves, _, drift = _march(cfg, noise, j_source, w0, hook=dissipate)
+    _, saves, drift = _march(cfg, noise, j_source, w0, hook=dissipate)
     sq = ((saves[:, 0] - saves[:, 1]) ** 2).reshape(len(saves), -1)
     distances = np.sqrt(np.add.reduce(sq, -1) * cell)
 

@@ -307,7 +307,7 @@ def test_nan_search_only_runs_on_a_nan_increment(monkeypatch):
     monkeypatch.setattr(hoelder, "np", NoNanSearch())
     for f in (Field(vals, dt=1 / 64), random_field(np.random.default_rng(47), 9, 4, 2, dt=1 / 16)):
         seminorm_dyadic(f, 0.3)
-        c1alpha_seminorm(f, centered_gradient(f), 0.3)
+        c1alpha_seminorm(f, 0.3)
 
 
 @settings(max_examples=20, deadline=None)
@@ -360,7 +360,7 @@ def test_centered_gradient_shape_d2():
 
 
 def _temporal_subtracts(monkeypatch, f):
-    """c1alpha_seminorm(f, ., 0.3) and the row count of each np.subtract in _temporal_sup.
+    """c1alpha_seminorm(f, 0.3) and the row count of each np.subtract in _temporal_sup.
 
     The temporal scan makes one subtraction per scanned lag, with one row
     per scanned site; subtractions elsewhere in hoelder are not counted.
@@ -379,15 +379,14 @@ def _temporal_subtracts(monkeypatch, f):
             return np.subtract(a, *args, **kwargs)
 
     monkeypatch.setattr(hoelder, "np", CountingNumpy())
-    value = c1alpha_seminorm(f, centered_gradient(f), 0.3)
+    value = c1alpha_seminorm(f, 0.3)
     monkeypatch.undo()
     return value, rows
 
 
 def test_c1alpha_zero_field():
     f = Field(np.zeros((5, 4)), dt=0.25)
-    gw = centered_gradient(f)
-    assert c1alpha_seminorm(f, gw, 0.3) == 0.0
+    assert c1alpha_seminorm(f, 0.3) == 0.0
 
 
 def test_c1alpha_linear_in_time_is_unit(monkeypatch):
@@ -399,12 +398,6 @@ def test_c1alpha_linear_in_time_is_unit(monkeypatch):
     value, rows = _temporal_subtracts(monkeypatch, f)
     assert value == 1.0
     assert len(rows) == 5 - 1
-
-
-def test_c1alpha_rejects_mismatched_gradient():
-    f = Field(np.zeros((5, 4)), dt=0.25)
-    with pytest.raises(ValueError):
-        c1alpha_seminorm(f, np.zeros((5, 2, 4)), 0.3)
 
 
 def unpruned_c1alpha(w, grad_w, alpha):
@@ -448,10 +441,10 @@ def test_c1alpha_matches_unpruned_oracle():
         gw = centered_gradient(f)
         if np.isnan(f.values).any():
             with pytest.raises(ValueError, match="NaN increment: sample nan at time index 20, node"):
-                c1alpha_seminorm(f, gw, 0.3)
+                c1alpha_seminorm(f, 0.3)
             continue
         for alpha in (0.3, 0.7):
-            got = np.float64(c1alpha_seminorm(f, gw, alpha))
+            got = np.float64(c1alpha_seminorm(f, alpha))
             want = np.float64(unpruned_c1alpha(f, gw, alpha))
             assert got.tobytes() == want.tobytes(), (f.values.shape, alpha, got, want)
 
@@ -502,7 +495,7 @@ def test_c1alpha_hot_site_matches_exhaustive():
         f = hot_site_field(rng, n_t, n_x, d)
         gw = centered_gradient(f)
         for alpha in (0.3, 0.7):
-            got = c1alpha_seminorm(f, gw, alpha)
+            got = c1alpha_seminorm(f, alpha)
             want = unpruned_c1alpha(f, gw, alpha)
             assert _same_bits(got, want), (d, alpha, got, want)
 
@@ -516,9 +509,9 @@ def test_c1alpha_hot_site_nonfinite_at_a_pruned_site(bad):
         gw = centered_gradient(f)
         if np.isnan(bad):
             with pytest.raises(ValueError, match=rf"sample nan at time index {row}, node \(2,\)"):
-                c1alpha_seminorm(f, gw, 0.3)
+                c1alpha_seminorm(f, 0.3)
             continue
-        got = c1alpha_seminorm(f, gw, 0.3)
+        got = c1alpha_seminorm(f, 0.3)
         assert _same_bits(got, unpruned_c1alpha(f, gw, 0.3)), (bad, row, got)
 
 
@@ -620,7 +613,4 @@ def test_c1alpha_with_the_row_stride_gradient_keeps_the_full_gradient_value():
         kept = centered_gradient(Field(f.values[::s], dt=s * dt))
         assert kept.tobytes() == full[::s].tobytes()
         want = unpruned_c1alpha(f, full, 0.3)  # the dyadic part on every row
-        assert _same_bits(c1alpha_seminorm(f, kept, 0.3), want)
-        assert _same_bits(c1alpha_seminorm(f, full, 0.3), want)
-        with pytest.raises(ValueError, match="shape"):
-            c1alpha_seminorm(f, full[1:], 0.3)
+        assert _same_bits(c1alpha_seminorm(f, 0.3), want)

@@ -202,6 +202,26 @@ def test_covariance_check_validation():
         covariance_check(spec, [(0.5, 0.0, 0.5, 0.0)], 1, seed=0)
 
 
+def _no_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.setattr(mc_harness, "sample_mode_states", refuse)
+
+
+@pytest.mark.parametrize("N, j", [(0, 0), (1, 0), (10, -1), (10, 2)])
+def test_verifiers_check_draws_and_axis_before_sampling(monkeypatch, N, j):
+    # N = 0 gave NaN slopes and N = 1 NaN standard errors; j = -1 aliased
+    # the last axis and j = d raised a bare IndexError
+    _no_sampling(monkeypatch)
+    spec = CovarianceSpec(2, 3.0, 3)
+    match = "N must be >= 2" if N < 2 else rf"axis {j} out of range for d=2"
+    with pytest.raises(ValueError, match=match):
+        increment_scaling_fit(spec, N, seed=0, spatial_lags=np.array([1 / 8]), temporal_lags=np.array([0.25]), j=j)
+    with pytest.raises(ValueError, match=match):
+        covariance_check(spec, [(0.5, (0.0, 0.0), 0.5, (0.0, 0.0))], N, seed=0, j=j)
+
+
 # ---------------------------------------------------------------------------
 # increment scaling
 

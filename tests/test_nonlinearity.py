@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qspde import nonlinearity
 from qspde.nonlinearity import (
     SECH2_SLOPE_MAX,
     Nonlinearity,
@@ -167,3 +168,15 @@ def test_verify_multidimensional():
 def test_verify_rejects_empty_sample():
     with pytest.raises(ValueError):
         verify_ellipticity(builtin("identity"), 0, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("radius, d", [(np.nan, 1), (np.inf, 1), (0.0, 1), (-8.0, 1), (8.0, 0), (8.0, 1.5)])
+def test_verify_rejects_bad_radius_or_dimension(monkeypatch, radius, d):
+    # radius = nan passed with min_rayleigh = nan, radius = inf passed with a
+    # vacuous Lipschitz ratio of 0, and d = 0 raised ZeroDivisionError
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.setattr(nonlinearity, "_ball", refuse)
+    with pytest.raises(ValueError, match="radius" if d == 1 else "^d: "):
+        verify_ellipticity(builtin("tanh_perturbed", lam=0.5), 100, radius, seed=0, d=d)
