@@ -252,3 +252,128 @@ def test_golden_seminorms():
     assert _digest_json(rows) == (
         "20bf6044dba4d23a4555c0d578ca4f461afbd5fbc49ec0dc845440d3479af627"
     )
+
+
+# ---------------------------------------------------------------------------
+# every CLI artifact and stdout line
+
+_CLI_CONFIG = {
+    "d": 1, "s": 2.0, "kmax": 3, "n_x": 16, "dt": 0.0009765625, "t_end": 0.0625,
+    "save_every": 4, "alpha": "0.3, 0.2", "nonlinearity": "tanh_perturbed",
+    "lambda": 0.5, "j_mode": "grad_v_negated", "mc_solve": "true",
+    "seed": 5, "n_realizations": 40,
+}
+
+_RUN = ["--config", "exp.cfg", "--out", "run", "--deterministic"]
+
+# (argv, exit code, sha256 of the stdout line and of each file the run wrote or changed)
+_CLI_PINS = [
+    (
+        ["sample-noise", *_RUN],
+        0,
+        {
+            "stdout": "bb9a3cd1be49c1090b294a52b5a557517000ae3b34c39aafd133766ea0c44981",
+            "run/grad_v_0.qspd": "d43daf290dee005a2b26d958d071167d1a7c435b12badd556d95be42a6ff0800",
+            "run/sample_noise_meta.json": "268750050f1eba613463c07fe33f228a9c4a1040c2b14bb035c8492b0bbeb8cf",
+            "run/v.qspd": "e12fd6d4a593bcf22a2dd44cc8ade664664ea5bf1dde3729ff3b3f374d43ecb5",
+        },
+    ),
+    (
+        ["solve", *_RUN],
+        0,
+        {
+            "stdout": "6b9a64c0ffe3e536f2e5262cfe92b35ae71d91f11555c4f1e0cef314cea35b76",
+            "run/solve_meta.json": "0fa69f327d295c95939c4be1744bc1e6ee6be98dd9f47399cfa5040bbba473f2",
+            "run/u.qspd": "9ab91b98bc78132d2cde83ecc5d4b0750c1a91125eaafb3b89416ffe197b59d3",
+            "run/v.qspd": "ca0c22a6e2019e3565060f8b5fc877f3696827c9d6885efbd55dac370f48a60d",
+            "run/w.qspd": "1b0bf89fd6cd42375c7b21420afdc6d0e421a15f2ac5bc3d095ad143c1591b65",
+        },
+    ),
+    (
+        ["norms", *_RUN],
+        0,
+        {
+            "stdout": "64bb97fecb98b035690a58c4201321d1e90d476a477c6ff727eb68180273d22e",
+            "run/norms.csv": "637b88bf1f6bb50c0fcdb26e6aa1987536aedff58a41ba84a72b40de0d549263",
+        },
+    ),
+    (
+        ["mc", *_RUN],
+        0,
+        {
+            "stdout": "65011a9937b8d6ccd30fc991999a9e68b8b50d4f559db1059f7488a501e17f18",
+            "run/mc_records.csv": "04aaab9aa5e81484d651cdad3a8b1246071cd736aedce3d8d9078bbc42f23ee8",
+            "run/mc_report.json": "4ddd3b356a02bca640d393bca1194deaf0f1d0cfbf3eaa8658532b4cac53a4b3",
+        },
+    ),
+    (
+        ["verify-covariance", *_RUN],
+        0,
+        {
+            "stdout": "88a7650d64a89243252e8e5228647020076a17303f40a096f02c5f346218d823",
+            "run/covariance_report.json": "d603eebb6d01e5f733d7aafe27ad9f172d011ef4bb16120af96144acbb88e4b0",
+        },
+    ),
+    (
+        ["verify-ellipticity", *_RUN],
+        0,
+        {
+            "stdout": "714db65ea9636e0fcf4a96d3d5b53bad2e6f80a7b64604ed2502fa87d2817349",
+            "run/ellipticity_report.json": "ecad2da46e0125b02a20276962642f0e2e3a13d0102f727b07e03987231c561d",
+        },
+    ),
+    (
+        ["mc", "--deterministic"],
+        1,
+        {
+            "stdout": "faaa2754a99580203deef37036ff851acd624c3e3337157a755d3e2e7fce88cb",
+        },
+    ),
+    (
+        ["sample-noise", "--config", "exp.cfg", "--out", "blocker/sub", "--deterministic"],
+        2,
+        {
+            "stdout": "6d9d961887987ecb6c7174f1309384a59ae1223d7b795eade369b75b85d7d76d",
+        },
+    ),
+    (
+        ["verify-covariance", "--config", "exp.cfg", "--out", "gate", "--deterministic"],
+        3,
+        {
+            "stdout": "9ed2dd344cf32a52b1b92c2086adae7129bf2759df59a091463daa7d7a9c2e6f",
+            "gate/covariance_report.json": "211b486cdc0ac4cb36150909a552b15f799b6125ce80f93a4c05daf1efa49bf2",
+        },
+    ),
+]
+
+
+def test_golden_cli_artifacts(tmp_path, monkeypatch, capsys):
+    # a relative out_dir keeps every config hash fixed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text("".join(f"{k} = {v}\n" for k, v in _CLI_CONFIG.items()))
+    (tmp_path / "blocker").write_text("a file, not a directory")
+
+    class FakeCheck:
+        passed = False
+        ratio = np.array([9.0])
+
+        def to_dict(self):
+            return {"passed": False, "ratio": [9.0]}
+
+    def snapshot():
+        return {
+            p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(tmp_path.rglob("*"))
+            if p.is_file()
+        }
+
+    got = []
+    for argv, _, _ in _CLI_PINS:
+        if "gate" in argv:
+            monkeypatch.setattr(cli, "covariance_check", lambda *a, **k: FakeCheck())
+        before = snapshot()
+        rc = cli.main(argv)
+        (line,) = capsys.readouterr().out.splitlines()
+        files = {k: v for k, v in snapshot().items() if before.get(k) != v}
+        got.append((argv, rc, {"stdout": hashlib.sha256(line.encode()).hexdigest(), **files}))
+    assert got == _CLI_PINS
