@@ -7,11 +7,14 @@ codes are a stable contract: 0 success/PASS, 1 validation error,
 2 runtime failure, 3 a verification gate failed.  Failures print a
 machine-readable error JSON instead of a summary.
 
-Outputs carry the config hash and root seed: QSPD files get a sidecar
-meta JSON (the binary format has no header slot for them), CSV files a
-leading comment line, JSON reports embedded fields.  With
---deterministic the per-record wall times are written as 0 so repeated
-single-worker runs are byte-identical.
+Outputs carry the config hash and root seed, stamped by one of two
+writers.  _write_report writes a JSON report with the command, config
+hash, seed and canonical config embedded; QSPD files get such a report
+as their sidecar meta JSON (the binary format has no header slot for
+them).  _write_csv writes a CSV table under a leading
+"# config_hash=... seed=..." line, floats with 17 significant digits.
+With --deterministic the per-record wall times are written as 0 so
+repeated single-worker runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import astuple, fields, replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, config_hash, parse_config, serialize
+from .config import ConfigError, ExperimentConfig, _fmt, config_hash, parse_config, serialize
 from .hoelder import HoelderReport, _row_stride, c1alpha_seminorm, centered_gradient, seminorm_dyadic
 from .mc_harness import CampaignFailure, McRecord, _noise_path, _solver_setup, covariance_check, run_campaign
 from .nonlinearity import builtin, verify_ellipticity
@@ -85,37 +88,44 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _meta(cfg: ExperimentConfig, command: str, extra=None) -> dict:
-    out = {
-        "command": command,
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
-        "config": serialize(cfg),
-    }
-    if extra:
-        out.update(extra)
-    return out
+def _out(cfg: ExperimentConfig, name: str) -> str:
+    """Path of the artifact name under out_dir, which is created on first use."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    return os.path.join(cfg.out_dir, name)
 
 
-def _write_json(path: str, obj: dict):
+def _write_report(cfg: ExperimentConfig, command: str, name: str, body: dict) -> str:
+    """Write body as the JSON report out_dir/name, stamped with command, config hash, seed and config."""
+    report = {"command": command, "config_hash": config_hash(cfg), "seed": cfg.seed, "config": serialize(cfg)}
+    report.update(body)
+    path = _out(cfg, name)
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
+        json.dump(report, fh, sort_keys=True, indent=1)
         fh.write("\n")
+    return path
+
+
+def _write_csv(cfg: ExperimentConfig, name: str, columns, rows) -> str:
+    """Write rows as out_dir/name under the stamp line and the header; None is an empty cell."""
+    path = _out(cfg, name)
+    with open(path, "w") as fh:
+        fh.write(f"# config_hash={config_hash(cfg)} seed={cfg.seed}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            cells = ("" if v is None else _fmt(v) if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")
+    return path
 
 
 def _cmd_sample_noise(cfg: ExperimentConfig, args) -> dict:
     path = _noise_path(cfg, 0)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    files = []
+    names = [f"{name}.qspd" for name in ["v"] + [f"grad_v_{a}" for a in range(cfg.d)]]
+    written = [_out(cfg, name) for name in names]
     fields = evaluate_field(path, cfg.n_x, ["value"] + [("gradient", a) for a in range(cfg.d)])
-    for name, f in zip(["v"] + [f"grad_v_{a}" for a in range(cfg.d)], fields):
-        fp = os.path.join(cfg.out_dir, f"{name}.qspd")
+    for fp, f in zip(written, fields):
         write_qspd(fp, f)
-        files.append(fp)
-    meta = _meta(cfg, "sample-noise", {"files": [os.path.basename(f) for f in files]})
-    mp = os.path.join(cfg.out_dir, "sample_noise_meta.json")
-    _write_json(mp, meta)
-    return {"written": files + [mp], "config_hash": meta["config_hash"], "seed": cfg.seed}
+    written.append(_write_report(cfg, "sample-noise", "sample_noise_meta.json", {"files": names}))
+    return {"written": written, "config_hash": config_hash(cfg), "seed": cfg.seed}
 
 
 def _read_j_components(cfg: ExperimentConfig) -> np.ndarray:
@@ -146,27 +156,18 @@ def _cmd_solve(cfg: ExperimentConfig, args) -> dict:
     if cfg.j_mode == "file":
         j_source = _read_j_components(cfg)
     traj = solve(scfg, _noise_path(cfg, 0), j_source, save_every=cfg.save_every)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     dt_save = cfg.dt * cfg.save_every
-    files = [os.path.join(cfg.out_dir, f"{name}.qspd") for name in ("u", "w", "v")]
-    write_qspd(files[1], Field(traj.w, dt=dt_save))
-    write_qspd(files[2], Field(traj.v, dt=dt_save))
+    names = ["u.qspd", "w.qspd", "v.qspd"]
+    written = [_out(cfg, name) for name in names]
+    write_qspd(written[1], Field(traj.w, dt=dt_save))
+    write_qspd(written[2], Field(traj.v, dt=dt_save))
     # u = w + v goes into w's buffer, which is written already
-    write_qspd(files[0], Field(np.add(traj.w, traj.v, out=traj.w), dt=dt_save))
-    meta = _meta(
-        cfg,
-        "solve",
-        {
-            "files": [os.path.basename(f) for f in files],
-            "mean_drift_rate": traj.mean_drift_rate,
-            "j_mode": cfg.j_mode,
-        },
-    )
-    mp = os.path.join(cfg.out_dir, "solve_meta.json")
-    _write_json(mp, meta)
+    write_qspd(written[0], Field(np.add(traj.w, traj.v, out=traj.w), dt=dt_save))
+    meta = {"files": names, "mean_drift_rate": traj.mean_drift_rate, "j_mode": cfg.j_mode}
+    written.append(_write_report(cfg, "solve", "solve_meta.json", meta))
     return {
-        "written": files + [mp],
-        "config_hash": meta["config_hash"],
+        "written": written,
+        "config_hash": config_hash(cfg),
         "seed": cfg.seed,
         "mean_drift_rate": traj.mean_drift_rate,
     }
@@ -178,6 +179,16 @@ def _require_finite(fp: str, f: Field):
         raise _CliError(1, "validation", [f"norms: {fp}: non-finite value at time index {i_t}, node {tuple(node)}"])
 
 
+def _require_one_grid(wp: str, w: Field, vp: str, v: Field):
+    """w and v must be the saves of one solve: one shape, dt and t_start, with dt finite and > 0."""
+    pairs = (("shape", w.values.shape, v.values.shape), ("dt", w.dt, v.dt), ("t_start", w.t_start, v.t_start))
+    for name, a, b in pairs:
+        if a != b:
+            raise _CliError(1, "validation", [f"norms: {wp} and {vp} are not on one grid: {name} {a} against {b}"])
+    if not 0.0 < w.dt < np.inf:
+        raise _CliError(1, "validation", [f"norms: {wp} and {vp}: dt must be finite and > 0, got {w.dt}"])
+
+
 def _cmd_norms(cfg: ExperimentConfig, args) -> dict:
     wp = os.path.join(cfg.out_dir, "w.qspd")
     vp = os.path.join(cfg.out_dir, "v.qspd")
@@ -186,6 +197,7 @@ def _cmd_norms(cfg: ExperimentConfig, args) -> dict:
         v = read_qspd(vp)
     except (OSError, ValueError) as exc:
         raise _CliError(1, "validation", [f"norms: run solve first; {exc}"])
+    _require_one_grid(wp, w, vp, v)
     _require_finite(wp, w)
     _require_finite(vp, v)
     # gradients only on the rows the dyadic estimator reads
@@ -206,23 +218,11 @@ def _cmd_norms(cfg: ExperimentConfig, args) -> dict:
         for a, (fv, fu) in enumerate(zip(gv, gu)):
             group.append((f"grad_v[{a}]", seminorm_dyadic(fv, alpha)))
             group.append((f"grad_u[{a}]", seminorm_dyadic(fu, alpha)))
-        group.append(("w_c1alpha", HoelderReport(alpha=alpha, naive=None, theta=wnorm, pair=None, domain="composite")))
-        rows += group
+        group.append(("w_c1alpha", HoelderReport(alpha=alpha, naive=None, theta=wnorm, pair=None)))
+        rows += [(name, rep.to_csv_row()) for name, rep in group]
         values.append({name: rep.theta for name, rep in group})
-    cp = os.path.join(cfg.out_dir, "norms.csv")
-    with open(cp, "w") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)} seed={cfg.seed}\n")
-        fh.write("quantity," + HoelderReport.csv_header() + "\n")
-        for name, rep in rows:
-            fh.write(f"{name},{rep.to_csv_row()}\n")
+    cp = _write_csv(cfg, "norms.csv", ["quantity", HoelderReport.csv_header()], rows)
     return {"written": [cp], "config_hash": config_hash(cfg), "seed": cfg.seed, "values": values}
-
-
-def _csv_cell(value) -> str:
-    """Floats with 17 significant digits, None as an empty cell."""
-    if value is None:
-        return ""
-    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def _cmd_mc(cfg: ExperimentConfig, args) -> dict:
@@ -233,36 +233,36 @@ def _cmd_mc(cfg: ExperimentConfig, args) -> dict:
         raise _CliError(1, "validation", [str(exc)])
     except CampaignFailure as exc:
         raise _CliError(3, "gate", [str(exc)])
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    cp = os.path.join(cfg.out_dir, "mc_records.csv")
-    with open(cp, "w") as fh:
-        fh.write(f"# config_hash={config_hash(cfg)} seed={cfg.seed}\n")
-        fh.write(",".join(f.name for f in fields(McRecord)) + "\n")
-        for rec in stats.records:
-            if args.deterministic:
-                rec = replace(rec, wall_time=0.0)
-            fh.write(",".join(map(_csv_cell, astuple(rec))) + "\n")
-    report = _meta(
-        cfg,
-        "mc",
-        {
-            "n": stats.n,
-            "alpha": stats.alpha,
-            "workers": workers,
-            "deterministic": bool(args.deterministic),
-            "moments": stats.moments,
-            "tail": None if stats.tail is None else stats.tail.to_dict(),
-            "failures": stats.failures,
-            "records_csv": os.path.basename(cp),
-            "gates": {"failure_rate": "PASS"},
-        },
-    )
-    rp = os.path.join(cfg.out_dir, "mc_report.json")
-    _write_json(rp, report)
-    return {"written": [cp, rp], "config_hash": report["config_hash"], "seed": cfg.seed, "n": stats.n}
+    records = (replace(rec, wall_time=0.0) if args.deterministic else rec for rec in stats.records)
+    cp = _write_csv(cfg, "mc_records.csv", [f.name for f in fields(McRecord)], map(astuple, records))
+    report = {
+        "n": stats.n,
+        "alpha": stats.alpha,
+        "workers": workers,
+        "deterministic": bool(args.deterministic),
+        "moments": stats.moments,
+        "tail": None if stats.tail is None else stats.tail.to_dict(),
+        "failures": stats.failures,
+        "records_csv": "mc_records.csv",
+        "gates": {"failure_rate": "PASS"},
+    }
+    rp = _write_report(cfg, "mc", "mc_report.json", report)
+    return {"written": [cp, rp], "config_hash": config_hash(cfg), "seed": cfg.seed, "n": stats.n}
+
+
+def _gate(cfg: ExperimentConfig, check: str, result) -> str:
+    """Write the verify-check report, result.to_dict() plus its gate; a FAIL exits 3."""
+    body = {**result.to_dict(), "gate": "PASS" if result.passed else "FAIL"}
+    rp = _write_report(cfg, f"verify-{check}", f"{check}_report.json", body)
+    if not result.passed:
+        raise _CliError(3, "gate", [f"{check} check failed; report at {rp}"])
+    return rp
 
 
 def _cmd_verify_covariance(cfg: ExperimentConfig, args) -> dict:
+    if cfg.n_realizations < 2:  # a standard error needs two draws
+        msg = f"n_realizations: verify-covariance needs at least 2, got {cfg.n_realizations}"
+        raise _CliError(1, "validation", [msg])
     spec = CovarianceSpec(cfg.d, cfg.s, cfg.kmax)
     offsets = [np.zeros(cfg.d), np.concatenate([[0.125], np.zeros(cfg.d - 1)])]
     ts = (0.25, 0.5, 1.0)
@@ -272,27 +272,13 @@ def _cmd_verify_covariance(cfg: ExperimentConfig, args) -> dict:
         for off in offsets
     ]
     chk = covariance_check(spec, points, N=cfg.n_realizations, seed=cfg.seed)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    report = _meta(cfg, "verify-covariance", chk.to_dict())
-    report["gate"] = "PASS" if chk.passed else "FAIL"
-    rp = os.path.join(cfg.out_dir, "covariance_report.json")
-    _write_json(rp, report)
-    if not chk.passed:
-        raise _CliError(3, "gate", [f"covariance check failed; report at {rp}"])
-    return {"written": [rp], "gate": "PASS", "max_ratio": float(np.max(chk.ratio))}
+    return {"written": [_gate(cfg, "covariance", chk)], "gate": "PASS", "max_ratio": float(np.max(chk.ratio))}
 
 
 def _cmd_verify_ellipticity(cfg: ExperimentConfig, args) -> dict:
     nl = builtin(cfg.nl_kind, cfg.nl_lambda)
     rep = verify_ellipticity(nl, n_samples=cfg.n_realizations, radius=8.0, seed=cfg.seed, d=cfg.d)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    report = _meta(cfg, "verify-ellipticity", rep.to_dict())
-    report["gate"] = "PASS" if rep.passed else "FAIL"
-    rp = os.path.join(cfg.out_dir, "ellipticity_report.json")
-    _write_json(rp, report)
-    if not rep.passed:
-        raise _CliError(3, "gate", [f"ellipticity check failed; report at {rp}"])
-    return {"written": [rp], "gate": "PASS"}
+    return {"written": [_gate(cfg, "ellipticity", rep)], "gate": "PASS"}
 
 
 _COMMANDS = {
@@ -310,22 +296,12 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = _load_config(args)
         summary = _COMMANDS[args.command](cfg, args)
-    except _CliError as exc:
-        print(
-            json.dumps(
-                {"error": {"exit": exc.code, "type": exc.kind, "messages": exc.messages}},
-                sort_keys=True,
-            )
-        )
+    except Exception as exc:
+        if not isinstance(exc, _CliError):  # runtime contract: anything unexpected is exit 2
+            exc = _CliError(2, "runtime", [f"{type(exc).__name__}: {exc}"])
+        error = {"exit": exc.code, "type": exc.kind, "messages": exc.messages}
+        print(json.dumps({"error": error}, sort_keys=True))
         return exc.code
-    except Exception as exc:  # runtime contract: anything unexpected is exit 2
-        print(
-            json.dumps(
-                {"error": {"exit": 2, "type": "runtime", "messages": [f"{type(exc).__name__}: {exc}"]}},
-                sort_keys=True,
-            )
-        )
-        return 2
     print(json.dumps(summary, sort_keys=True))
     return 0
 

@@ -17,16 +17,19 @@ parse_config words it.
 
 serialize emits a canonical normal form (fixed key order, floats with
 17 significant digits), so serialize(parse(text)) is idempotent and
-config_hash identifies an experiment.
+config_hash identifies an experiment.  _fmt is the one float format of
+every text artifact, and _plain the one JSON form of every report.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from types import SimpleNamespace
 from typing import Optional, Tuple
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -71,6 +74,17 @@ _J_MODES = ("zero", "grad_v_negated", "file")
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _plain(value):
+    """JSON-ready form of a report: dataclasses by their fields, arrays and sequences as lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _parse_bool(v: str) -> bool:

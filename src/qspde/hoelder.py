@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import _fmt
 from .spectral_noise import Field
 
 # Lower equivalence constant in naive <= C2 * theta, calibrated as the
@@ -30,35 +31,30 @@ C2_EQUIVALENCE = 8.80
 
 @dataclass
 class HoelderReport:
-    """One seminorm evaluation: estimate(s), witness pair, and domain.
+    """One seminorm evaluation: estimate(s) and witness pair.
 
-    pair is ((t, x), (t', x')) with tuple x; re-evaluating the quotient
-    (naive) or R^{-alpha}*|f(z)-f(z')| at level_R (dyadic) reproduces the
-    reported value bitwise.
+    It does not describe the grid it was read on; norms.csv labels each
+    row by its quantity instead.  pair is ((t, x), (t', x')) with tuple
+    x; re-evaluating the quotient (naive) or R^{-alpha}*|f(z)-f(z')| at
+    level_R (dyadic) reproduces the reported value bitwise.
     """
 
     alpha: float
     naive: Optional[float]
     theta: Optional[float]
     pair: Optional[tuple]
-    domain: str
     level_R: Optional[float] = None
 
     def to_csv_row(self) -> str:
         def fmt(v):
-            return "" if v is None else f"{v:.17g}"
+            return "" if v is None else _fmt(v)
 
         cells = [fmt(self.alpha), fmt(self.naive), fmt(self.theta)]
         if self.pair is None:
             cells += [""] * 4
         else:
             (t, x), (t2, x2) = self.pair
-            cells += [
-                fmt(t),
-                ";".join(f"{c:.17g}" for c in x),
-                fmt(t2),
-                ";".join(f"{c:.17g}" for c in x2),
-            ]
+            cells += [_fmt(t), ";".join(map(_fmt, x)), _fmt(t2), ";".join(map(_fmt, x2))]
         return ",".join(cells)
 
     @staticmethod
@@ -77,13 +73,6 @@ def _flat_coordinates(f: Field):
     t_flat = np.repeat(times, n_sp)
     x_flat = np.tile(pos, (f.n_t, 1))
     return t_flat, x_flat
-
-
-def _domain_of(f: Field) -> str:
-    return (
-        f"grid n_t={f.n_t} n_x={f.n_x} d={f.d} "
-        f"dt={f.dt:.17g} t_start={f.t_start:.17g}"
-    )
 
 
 def seminorm_naive(f: Field, alpha: float, budget: int = 20000) -> HoelderReport:
@@ -120,9 +109,7 @@ def seminorm_naive(f: Field, alpha: float, budget: int = 20000) -> HoelderReport
                 (float(t_flat[i]), tuple(x_flat[i])),
                 (float(t_flat[j]), tuple(x_flat[j])),
             )
-    return HoelderReport(
-        alpha=alpha, naive=best, theta=None, pair=best_pair, domain=_domain_of(f)
-    )
+    return HoelderReport(alpha=alpha, naive=best, theta=None, pair=best_pair)
 
 
 def _is_pow2(n: int) -> bool:
@@ -231,7 +218,6 @@ def seminorm_dyadic(f: Field, alpha: float) -> HoelderReport:
         naive=None,
         theta=best,
         pair=best_pair,
-        domain=_domain_of(f),
         level_R=best_R,
     )
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import check
+from .config import _plain, check
 from .hoelder import _max_component_theta, _row_stride, c1alpha_seminorm, centered_gradient
 from .nonlinearity import builtin
 from .solver import GRAD_V_NEGATED, SolverConfig, solve
@@ -34,17 +34,6 @@ from .spectral_noise import (
 
 class CampaignFailure(RuntimeError):
     """Raised when more than 1% of realizations fail."""
-
-
-def _plain(value):
-    """JSON-ready form of a report: dataclasses by their fields, arrays and sequences as lists."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    return value
 
 
 @dataclass
@@ -201,7 +190,11 @@ def _check_draws(spec: CovarianceSpec, N: int, j: int):
 
 @dataclass
 class CovarianceCheck:
-    """MC-vs-closed-form residuals at chosen space-time point pairs."""
+    """MC-vs-closed-form residuals at chosen space-time point pairs.
+
+    points holds each pair (t, x, t', x') as the flat float list
+    [t, *x, t', *x'], in the order the pairs were given.
+    """
 
     points: list
     mc: np.ndarray
@@ -212,17 +205,7 @@ class CovarianceCheck:
     seed: int
     passed: bool
 
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "passed": self.passed,
-            "points": [list(map(float, np.ravel(np.concatenate([[p[0]], np.atleast_1d(p[1]), [p[2]], np.atleast_1d(p[3])])))) for p in self.points],
-            "mc": self.mc.tolist(),
-            "closed": self.closed.tolist(),
-            "se": self.se.tolist(),
-            "ratio": self.ratio.tolist(),
-        }
+    to_dict = _plain
 
 
 def covariance_check(
@@ -279,7 +262,7 @@ def covariance_check(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(se > 0, resid / se, np.where(resid == 0, 0.0, np.inf))
     return CovarianceCheck(
-        points=pts,
+        points=[[t, *xa.tolist(), t2, *xb.tolist()] for t, xa, t2, xb in pts],
         mc=mc,
         closed=closed,
         se=se,

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import check
+from .config import _plain, check
 
 # max_q |d/dq sech^2(q)| = 4/(3*sqrt(3)), attained where tanh(q) = 1/sqrt(3)
 SECH2_SLOPE_MAX = 4.0 / (3.0 * np.sqrt(3.0))
@@ -75,7 +75,11 @@ def _ones_like(q):
 
 @dataclass
 class EllipticityReport:
-    """Sampled verdict on the ellipticity and Lipschitz declarations."""
+    """Sampled verdict on the ellipticity and Lipschitz declarations.
+
+    violations holds the first ten failed samples, in the order of the
+    checks (rayleigh, opnorm, lipschitz).
+    """
 
     kind: str
     n_samples: int
@@ -87,18 +91,7 @@ class EllipticityReport:
     passed: bool
     violations: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "n_samples": self.n_samples,
-            "radius": self.radius,
-            "seed": self.seed,
-            "min_rayleigh": self.min_rayleigh,
-            "max_opnorm": self.max_opnorm,
-            "max_lipschitz_ratio": self.max_lipschitz_ratio,
-            "passed": self.passed,
-            "violations": self.violations[:10],
-        }
+    to_dict = _plain
 
 
 def verify_ellipticity(
@@ -148,7 +141,7 @@ def verify_ellipticity(
         max_opnorm=float(np.max(opnorm)),
         max_lipschitz_ratio=float(np.max(lip)),
         passed=not violations,
-        violations=violations,
+        violations=violations[:10],
     )
 
 

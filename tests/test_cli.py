@@ -512,6 +512,37 @@ def test_cli_norms_rejects_non_finite_input(tmp_path, capsys, name):
     assert not (out / "norms.csv").exists()
 
 
+def _halve_rows(f):
+    return Field(f.values[: f.n_t // 2 + 1], dt=f.dt, t_start=f.t_start)
+
+
+@pytest.mark.parametrize(
+    "change_v, change_w, key",
+    [
+        (_halve_rows, None, "shape"),
+        (lambda f: Field(f.values, dt=np.nan, t_start=f.t_start), None, "dt"),
+        (lambda f: Field(f.values, dt=0.0, t_start=f.t_start), None, "dt"),
+        (lambda f: Field(f.values, dt=2 * f.dt, t_start=f.t_start), None, "dt"),
+        (lambda f: Field(f.values, dt=f.dt, t_start=0.5), None, "t_start"),
+        # one grid, but a step no estimator can scale by
+        (lambda f: Field(f.values, dt=0.0), lambda f: Field(f.values, dt=0.0), "dt must be finite and > 0"),
+    ],
+    ids=["rows", "dt_nan", "dt_zero", "dt_doubled", "t_start", "both_dt_zero"],
+)
+def test_cli_norms_rejects_fields_off_one_grid(tmp_path, capsys, change_v, change_w, key):
+    cfgp = write_cfg(tmp_path, **SOLVE_OVERRIDES)
+    out = tmp_path / "run"
+    assert run_cli(capsys, ["solve", "--config", str(cfgp), "--out", str(out)])[0] == 0
+    for name, change in (("v", change_v), ("w", change_w)):
+        if change is not None:
+            write_qspd(out / f"{name}.qspd", change(read_qspd(out / f"{name}.qspd")))
+    rc, err = run_cli(capsys, ["norms", "--config", str(cfgp), "--out", str(out)])
+    assert (rc, err["error"]["type"]) == (1, "validation")
+    (msg,) = err["error"]["messages"]
+    assert f"{out / 'w.qspd'} and {out / 'v.qspd'}" in msg and key in msg
+    assert not (out / "norms.csv").exists()
+
+
 # d = 2, 1025 saved rows; the dyadic estimator reads every 8th of them
 MEMORY_OVERRIDES = dict(d="2", s="3.0", kmax="15", n_x="32", dt="0.0001220703125", t_end="0.125", save_every="1")
 MEMORY_FIELD_BYTES = 1025 * 32 * 32 * 8
@@ -640,6 +671,17 @@ def test_cli_verify_covariance_passes(tmp_path, capsys):
     assert summary["max_ratio"] <= 4.0
     report = json.loads((out / "covariance_report.json").read_text())
     assert report["gate"] == "PASS" and report["n"] == 200
+
+
+def test_cli_verify_covariance_names_n_realizations(tmp_path, capsys, monkeypatch):
+    # one draw has no standard error; refused before any sampling
+    monkeypatch.setattr(cli, "covariance_check", lambda *a, **k: pytest.fail("sampled"))
+    cfgp = write_cfg(tmp_path, n_realizations="1")
+    out = tmp_path / "run"
+    rc, err = run_cli(capsys, ["verify-covariance", "--config", str(cfgp), "--out", str(out)])
+    assert (rc, err["error"]["type"]) == (1, "validation")
+    assert err["error"]["messages"] == ["n_realizations: verify-covariance needs at least 2, got 1"]
+    assert not out.exists()
 
 
 def test_cli_verify_ellipticity_passes(tmp_path, capsys):

@@ -192,6 +192,15 @@ def test_covariance_check_zero_variance_point():
     assert rep.passed
 
 
+def test_covariance_check_points_are_the_flat_lists_of_its_dict():
+    # [t, *x, t', *x'] per pair, so to_dict is the dataclass fields as they are
+    spec = CovarianceSpec(2, 3.0, 2)
+    rep = covariance_check(spec, [(0.5, (0.25, 0.0), 1.0, np.zeros(2))], 10, seed=3)
+    assert rep.points == [[0.5, 0.25, 0.0, 1.0, 0.0, 0.0]]
+    assert all(type(c) is float for c in rep.points[0])
+    assert rep.to_dict()["points"] == rep.points
+
+
 def test_covariance_check_validation():
     spec = CovarianceSpec(1, 2.0, 4)
     with pytest.raises(ValueError):

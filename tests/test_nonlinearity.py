@@ -154,6 +154,19 @@ def test_verify_flags_overscaled_flux():
     assert rep.violations
 
 
+def test_verify_keeps_the_first_ten_violations():
+    # a declared floor of 3 fails every Rayleigh sample and the doubled
+    # Jacobian every operator norm; the report keeps the first ten, all Rayleigh
+    bad = Nonlinearity(
+        "doubled", 3.0, 0.0, lambda q: 2.0 * np.asarray(q, float),
+        lambda q: 2.0 * np.ones_like(np.asarray(q, float)),
+    )
+    rep = verify_ellipticity(bad, 1000, 8.0, seed=4)
+    assert not rep.passed
+    assert [v["check"] for v in rep.violations] == ["rayleigh"] * 10
+    assert rep.to_dict()["violations"] == rep.violations
+
+
 def test_verify_seed_stability():
     a = verify_ellipticity(builtin("tanh_perturbed", lam=0.5), 5000, 8.0, seed=7)
     b = verify_ellipticity(builtin("tanh_perturbed", lam=0.5), 5000, 8.0, seed=7)
