@@ -56,7 +56,7 @@ w = Field(solve(cfg, path, save_every=every).w, dt=cfg.dt * every)
 gw_alpha = seminorm_dyadic(Field(centered_gradient(w)[:, 0], dt=w.dt), alpha).theta
 composite = c1alpha_seminorm(w, alpha)
 # grad v at the saves, evaluated spectrally from the noise path
-grad_v = evaluate_field(path, cfg.n_x, ("gradient", 0))
+(grad_v,) = evaluate_field(path, cfg.n_x, [0])
 gv_alpha = seminorm_dyadic(Field(grad_v.values[::every], dt=w.dt), alpha).theta
 
 print(f"\nsolved trajectory, alpha={alpha}:")

@@ -31,13 +31,12 @@ print(f"\nusing kmax={spec.kmax}, neglected tail mass {spec.tail_fraction:.2e}")
 # one exact realization on 65 time slabs, evaluated on 128 grid points
 times = np.linspace(0.0, 1.0, 65)
 path = sample_mode_states(spec, times, seed=7)
-v = evaluate_field(path, n_x=128)
-gv = evaluate_field(path, n_x=128, mode=("gradient", 0))
+v, gv = evaluate_field(path, 128, ["v", 0])  # v and its x-derivative in one pass
 print(f"v(t=1): mean {v.values[-1].mean():+.3e}  max |v| {np.abs(v.values[-1]).max():.4f}")
 print(f"grad v(t=1): max {np.abs(gv.values[-1]).max():.4f}")
 
 # refining the spatial grid re-evaluates the same realization
-v2 = evaluate_field(path, n_x=256)
+(v2,) = evaluate_field(path, 256)
 print(f"nested grids agree: {np.allclose(v2.values[:, ::2], v.values, atol=1e-12)}")
 
 # Monte Carlo covariance of grad v against the closed-form mode sum; the

@@ -28,7 +28,7 @@ from dataclasses import astuple, fields, replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, _fmt, config_hash, parse_config, serialize
+from .config import ConfigError, ExperimentConfig, _cell, config_hash, parse_config, serialize
 from .hoelder import HoelderReport, _row_stride, c1alpha_seminorm, centered_gradient, seminorm_dyadic
 from .mc_harness import CampaignFailure, McRecord, _noise_path, _solver_setup, covariance_check, run_campaign
 from .nonlinearity import builtin, verify_ellipticity
@@ -106,14 +106,13 @@ def _write_report(cfg: ExperimentConfig, command: str, name: str, body: dict) ->
 
 
 def _write_csv(cfg: ExperimentConfig, name: str, columns, rows) -> str:
-    """Write rows as out_dir/name under the stamp line and the header; None is an empty cell."""
+    """Write rows as out_dir/name under the stamp line and the header, each value as its config._cell."""
     path = _out(cfg, name)
     with open(path, "w") as fh:
         fh.write(f"# config_hash={config_hash(cfg)} seed={cfg.seed}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            cells = ("" if v is None else _fmt(v) if isinstance(v, float) else str(v) for v in row)
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(map(_cell, row)) + "\n")
     return path
 
 
@@ -121,31 +120,11 @@ def _cmd_sample_noise(cfg: ExperimentConfig, args) -> dict:
     path = _noise_path(cfg, 0)
     names = [f"{name}.qspd" for name in ["v"] + [f"grad_v_{a}" for a in range(cfg.d)]]
     written = [_out(cfg, name) for name in names]
-    fields = evaluate_field(path, cfg.n_x, ["value"] + [("gradient", a) for a in range(cfg.d)])
+    fields = evaluate_field(path, cfg.n_x, ["v", *range(cfg.d)])
     for fp, f in zip(written, fields):
         write_qspd(fp, f)
     written.append(_write_report(cfg, "sample-noise", "sample_noise_meta.json", {"files": names}))
     return {"written": written, "config_hash": config_hash(cfg), "seed": cfg.seed}
-
-
-def _read_j_components(cfg: ExperimentConfig) -> np.ndarray:
-    names = [p.strip() for p in cfg.j_file.split(",") if p.strip()]
-    if len(names) != cfg.d:
-        raise _CliError(1, "validation", [f"j_file: expected {cfg.d} component files, got {len(names)}"])
-    comps = []
-    for name in names:
-        try:
-            f = read_qspd(name)
-        except (OSError, ValueError) as exc:
-            raise _CliError(1, "validation", [f"j_file: {name}: {exc}"])
-        if f.d != cfg.d or f.n_t != 1 or f.n_x != cfg.n_x:
-            raise _CliError(
-                1,
-                "validation",
-                [f"j_file: {name}: need a single-slab d={cfg.d} field on the n_x={cfg.n_x} grid"],
-            )
-        comps.append(f.values[0])
-    return np.stack(comps, axis=0)
 
 
 def _cmd_solve(cfg: ExperimentConfig, args) -> dict:
@@ -153,8 +132,6 @@ def _cmd_solve(cfg: ExperimentConfig, args) -> dict:
         scfg, j_source = _solver_setup(cfg)
     except ValueError as exc:
         raise _CliError(1, "validation", [str(exc)])
-    if cfg.j_mode == "file":
-        j_source = _read_j_components(cfg)
     traj = solve(scfg, _noise_path(cfg, 0), j_source, save_every=cfg.save_every)
     dt_save = cfg.dt * cfg.save_every
     names = ["u.qspd", "w.qspd", "v.qspd"]
@@ -189,6 +166,16 @@ def _require_one_grid(wp: str, w: Field, vp: str, v: Field):
         raise _CliError(1, "validation", [f"norms: {wp} and {vp}: dt must be finite and > 0, got {w.dt}"])
 
 
+def _require_config_grid(cfg: ExperimentConfig, wp: str, w: Field):
+    """w must lie on the save grid a solve of cfg writes; a seed cannot be read off the fields."""
+    n_t = cfg.n_steps // cfg.save_every + 1
+    for name, want in (("d", cfg.d), ("n_x", cfg.n_x), ("n_t", n_t), ("dt", cfg.dt * cfg.save_every)):
+        have = getattr(w, name)
+        if have != want:
+            msg = f"norms: {wp} is not on the config's grid: {name} {have} in the file, {want} in the config"
+            raise _CliError(1, "validation", [msg])
+
+
 def _cmd_norms(cfg: ExperimentConfig, args) -> dict:
     wp = os.path.join(cfg.out_dir, "w.qspd")
     vp = os.path.join(cfg.out_dir, "v.qspd")
@@ -198,6 +185,7 @@ def _cmd_norms(cfg: ExperimentConfig, args) -> dict:
     except (OSError, ValueError) as exc:
         raise _CliError(1, "validation", [f"norms: run solve first; {exc}"])
     _require_one_grid(wp, w, vp, v)
+    _require_config_grid(cfg, wp, w)
     _require_finite(wp, w)
     _require_finite(vp, v)
     # gradients only on the rows the dyadic estimator reads

@@ -18,7 +18,8 @@ parse_config words it.
 serialize emits a canonical normal form (fixed key order, floats with
 17 significant digits), so serialize(parse(text)) is idempotent and
 config_hash identifies an experiment.  _fmt is the one float format of
-every text artifact, and _plain the one JSON form of every report.
+every text artifact, _cell the one rule for a CSV cell, and _plain the
+one JSON form of every report.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ _J_MODES = ("zero", "grad_v_negated", "file")
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _cell(v) -> str:
+    """Text of one CSV cell: None is empty, a float goes through _fmt, anything else through str."""
+    return "" if v is None else _fmt(v) if isinstance(v, float) else str(v)
 
 
 def _plain(value):

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import _fmt
+from .config import _cell
 from .spectral_noise import Field
 
 # Lower equivalence constant in naive <= C2 * theta, calibrated as the
@@ -46,33 +46,17 @@ class HoelderReport:
     level_R: Optional[float] = None
 
     def to_csv_row(self) -> str:
-        def fmt(v):
-            return "" if v is None else _fmt(v)
-
-        cells = [fmt(self.alpha), fmt(self.naive), fmt(self.theta)]
+        cells = [self.alpha, self.naive, self.theta]
         if self.pair is None:
-            cells += [""] * 4
+            cells += [None] * 4
         else:
             (t, x), (t2, x2) = self.pair
-            cells += [_fmt(t), ";".join(map(_fmt, x)), _fmt(t2), ";".join(map(_fmt, x2))]
-        return ",".join(cells)
+            cells += [t, ";".join(map(_cell, x)), t2, ";".join(map(_cell, x2))]
+        return ",".join(map(_cell, cells))
 
     @staticmethod
     def csv_header() -> str:
         return "alpha,naive,theta,t,x,t_prime,x_prime"
-
-
-def _flat_coordinates(f: Field):
-    d = f.d
-    n_x = f.n_x
-    times = f.times
-    axes = [np.arange(n_x) * f.dx] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pos = np.stack([g.ravel() for g in mesh], axis=1)  # (n_x^d, d)
-    n_sp = pos.shape[0]
-    t_flat = np.repeat(times, n_sp)
-    x_flat = np.tile(pos, (f.n_t, 1))
-    return t_flat, x_flat
 
 
 def seminorm_naive(f: Field, alpha: float, budget: int = 20000) -> HoelderReport:
@@ -80,7 +64,8 @@ def seminorm_naive(f: Field, alpha: float, budget: int = 20000) -> HoelderReport
 
     Quadratic in the sample count, so refuses fields above the budget.
     The witness is the first pair in scan order (flat time-major index
-    pairs i < j) attaining the maximum.
+    pairs i < j, nodes row-major as np.indices lists them) attaining the
+    maximum.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
@@ -91,7 +76,9 @@ def seminorm_naive(f: Field, alpha: float, budget: int = 20000) -> HoelderReport
             f"{n} samples exceed the naive budget {budget}; "
             "use seminorm_dyadic for grids this large"
         )
-    t_flat, x_flat = _flat_coordinates(f)
+    pos = np.indices((f.n_x,) * f.d).reshape(f.d, -1).T * f.dx  # (n_x^d, d), row-major
+    t_flat = np.repeat(f.times, pos.shape[0])
+    x_flat = np.tile(pos, (f.n_t, 1))
 
     best = 0.0
     best_pair = None
@@ -160,7 +147,9 @@ def seminorm_dyadic(f: Field, alpha: float) -> HoelderReport:
     spatial offsets lexicographic over {-1,0,1}^d, then row-major grid
     position; the first strict maximum wins.  At time offset 0 the mirror
     -o of an earlier offset o is skipped: it has the same |differences|, so
-    it cannot win.  A NaN increment raises ValueError naming a NaN sample.
+    it cannot win.  Per scale one copy of the sub-grid, wrap-padded by a
+    cell on each spatial side, serves every offset as a slice.  A NaN
+    increment raises ValueError naming a NaN sample.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
@@ -184,23 +173,16 @@ def seminorm_dyadic(f: Field, alpha: float) -> HoelderReport:
     for n, R, st, sx in levels:
         sub = vals[(slice(None, None, st),) + (slice(None, None, sx),) * d]
         m_t, cells = sub.shape[:2]
-        roll = {}
-        for o in (-1, 0, 1):  # (into, from) slices with into[i] = from[(i + o) % cells]: np.roll by -o
-            k = o % cells
-            roll[o] = [(slice(0, cells - k), slice(k, cells)), (slice(cells - k, cells), slice(0, k))][: 2 if k else 1]
-        plan = [  # per offset, the (into, from) index pairs of its periodic pieces
-            (off, [tuple((slice(None),) + s for s in zip(*p)) for p in itertools.product(*(roll[o] for o in off))])
-            for off in offsets
-        ]
+        # padded[:, 1 + o + i] = sub[:, (i + o) % cells] along each spatial axis
+        padded = np.pad(sub, [(0, 0)] + [(1, 1)] * d, mode="wrap")
         buf = np.empty(sub.shape)
         scale = R**-alpha
         for dt_idx in range(0, min(4, m_t)):
-            lead = sub[dt_idx:]
             base = sub[: m_t - dt_idx]
             diff = buf[: m_t - dt_idx]
-            for off, pieces in plan if dt_idx else plan[: len(plan) // 2]:
-                for into, frm in pieces:
-                    np.subtract(lead[frm], base[into], out=diff[into])
+            for off in offsets if dt_idx else offsets[: len(offsets) // 2]:
+                lead = padded[(slice(dt_idx, None),) + tuple(slice(1 + o, 1 + o + cells) for o in off)]
+                np.subtract(lead, base, out=diff)
                 m = float(max(diff.max(), -diff.min()))
                 if m * scale > best:
                     best = m * scale

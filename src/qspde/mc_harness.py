@@ -28,6 +28,7 @@ from .spectral_noise import (
     _spectral_slabs,
     covariance_closed_form,
     make_mode_set,
+    read_qspd,
     sample_mode_states,
 )
 
@@ -60,10 +61,6 @@ class McStats:
     tail: Optional["TailFit"] = None
 
 
-# the j sources a run can build from its config alone; "file" is read by the CLI
-_J_SOURCES = {"zero": None, "grad_v_negated": GRAD_V_NEGATED}
-
-
 def _noise_path(cfg, realization: int):
     """The configured noise realization on the grid arange(n_steps+1)*dt."""
     spec = CovarianceSpec(cfg.d, cfg.s, cfg.kmax)
@@ -72,10 +69,29 @@ def _noise_path(cfg, realization: int):
 
 
 def _solver_setup(cfg):
-    """The SolverConfig with the built-in flux, and the j source (None for zero or file)."""
+    """The SolverConfig with the built-in flux, and the j source of cfg.j_mode.
+
+    The source is None (zero), GRAD_V_NEGATED, or the (d,) + grid array
+    stacked from the j_file components; a j_file that cannot serve raises
+    ValueError naming it.
+    """
     nl = builtin(cfg.nl_kind, cfg.nl_lambda)
     scfg = SolverConfig(cfg.d, cfg.n_x, cfg.dt, cfg.t_end, nl, cfg.theta)
-    return scfg, _J_SOURCES.get(cfg.j_mode)
+    if cfg.j_mode != "file":
+        return scfg, GRAD_V_NEGATED if cfg.j_mode == "grad_v_negated" else None
+    names = [p.strip() for p in cfg.j_file.split(",") if p.strip()]
+    if len(names) != cfg.d:
+        raise ValueError(f"j_file: expected {cfg.d} component files, got {len(names)}")
+    comps = []
+    for name in names:
+        try:
+            f = read_qspd(name)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"j_file: {name}: {exc}")
+        if f.d != cfg.d or f.n_t != 1 or f.n_x != cfg.n_x:
+            raise ValueError(f"j_file: {name}: need a single-slab d={cfg.d} field on the n_x={cfg.n_x} grid")
+        comps.append(f.values[0])
+    return scfg, np.stack(comps, axis=0)
 
 
 def _campaign_record(cfg, r: int) -> McRecord:
@@ -128,7 +144,7 @@ def run_campaign(cfg, workers: int = 1, realizations: Optional[Sequence[int]] = 
     raises ValueError before any realization runs.
     """
     check(alphas=cfg.alphas)
-    if cfg.j_mode not in _J_SOURCES:
+    if cfg.j_mode == "file":
         raise ValueError("j_mode: campaigns support zero and grad_v_negated only")
     if realizations is None:
         realizations = range(cfg.n_realizations)

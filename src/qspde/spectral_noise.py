@@ -456,30 +456,26 @@ def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, parts, out=Non
     return out
 
 
-def evaluate_field(path: NoisePath, n_x: int, mode="value"):
-    """Evaluate a NoisePath as a real Field on the uniform n_x grid.
+def evaluate_field(path: NoisePath, n_x: int, parts=("v",)) -> list:
+    """Evaluate parts of a NoisePath as real Fields on the uniform n_x grid.
 
-    mode is "value" for the scalar field or ("gradient", j) for the j-th
-    gradient component (weights i*k_j); a list of modes gives a list of
-    Fields from one spectral pass.  Requires a uniform time grid and
-    n_x >= 2*kmax + 2 so retained modes occupy distinct FFT bins.
+    Each part is named as _spectral_slabs names it: "v" for the field
+    itself, an integer axis a in [0, d) for its derivative d_a v (weights
+    i*k_a).  Returns one Field per part, in order, from one spectral pass;
+    a part of any other name raises ValueError before anything is
+    evaluated.  Requires a uniform time grid and n_x >= 2*kmax + 2 so
+    retained modes occupy distinct FFT bins.
     """
-    parts = []
-    for m in mode if isinstance(mode, list) else [mode]:
-        if m == "value":
-            parts.append("v")
-        elif isinstance(m, tuple) and len(m) == 2 and m[0] == "gradient":
-            parts.append(int(m[1]))
-            if not 0 <= parts[-1] < path.modes.d:
-                raise ValueError(f"gradient axis {parts[-1]} out of range for d={path.modes.d}")
-        else:
-            raise ValueError(f"unknown evaluation mode {m!r}")
+    d = path.modes.d
+    for p in parts:
+        axis = isinstance(p, (int, np.integer)) and not isinstance(p, bool)
+        if not (0 <= p < d if axis else p == "v"):
+            raise ValueError(f"evaluation part {p!r} is neither 'v' nor an axis in [0, {d})")
     dt = path.dt  # raises on non-uniform grids
     # component-major, so that each Field's values are contiguous
-    values = np.empty((len(parts), path.coeffs.shape[0]) + (n_x,) * path.modes.d)
+    values = np.empty((len(parts), path.coeffs.shape[0]) + (n_x,) * d)
     _spectral_slabs(path.modes, path.coeffs, n_x, parts, values.swapaxes(0, 1))
-    out = [Field(v, dt=dt, t_start=float(path.times[0])) for v in values]
-    return out if isinstance(mode, list) else out[0]
+    return [Field(v, dt=dt, t_start=float(path.times[0])) for v in values]
 
 
 def covariance_closed_form(spec: CovarianceSpec, j: int, t: float, t_prime: float, r) -> float:

@@ -543,6 +543,42 @@ def test_cli_norms_rejects_fields_off_one_grid(tmp_path, capsys, change_v, chang
     assert not (out / "norms.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, mismatch",
+    [
+        (dict(d="2", s="3.0"), "d 1 in the file, 2 in the config"),
+        (dict(n_x="16", dt="0.0009765625", seed="9"), "n_x 8 in the file, 16 in the config"),
+        (dict(save_every="2"), "n_t 17 in the file, 33 in the config"),
+        (dict(dt="0.0078125", t_end="0.5"), "dt 0.015625 in the file, 0.03125 in the config"),
+    ],
+    ids=["d", "n_x", "n_t", "dt"],
+)
+def test_cli_norms_rejects_fields_off_the_config_grid(tmp_path, capsys, overrides, mismatch):
+    out = tmp_path / "run"
+    cfgp = write_cfg(tmp_path, **SOLVE_OVERRIDES)
+    assert run_cli(capsys, ["solve", "--config", str(cfgp), "--out", str(out)])[0] == 0
+    other = write_cfg(tmp_path, name="other.cfg", **{**SOLVE_OVERRIDES, **overrides})
+    rc, err = run_cli(capsys, ["norms", "--config", str(other), "--out", str(out)])
+    assert (rc, err["error"]["type"]) == (1, "validation")
+    assert err["error"]["messages"] == [f"norms: {out / 'w.qspd'} is not on the config's grid: {mismatch}"]
+    assert not (out / "norms.csv").exists()
+
+
+def test_cli_norms_accepts_another_config_on_the_same_grid(tmp_path, capsys):
+    # half the step and twice the save stride save the same grid; the seed
+    # cannot be read off the fields, so only the stamp line changes
+    out = tmp_path / "run"
+    cfgp = write_cfg(tmp_path, **SOLVE_OVERRIDES)
+    assert run_cli(capsys, ["solve", "--config", str(cfgp), "--out", str(out)])[0] == 0
+    assert run_cli(capsys, ["norms", "--config", str(cfgp), "--out", str(out)])[0] == 0
+    rows = (out / "norms.csv").read_text().splitlines()
+    same_grid = {**SOLVE_OVERRIDES, "dt": "0.001953125", "save_every": "8", "seed": "7"}
+    other = write_cfg(tmp_path, name="other.cfg", **same_grid)
+    assert run_cli(capsys, ["norms", "--config", str(other), "--out", str(out)])[0] == 0
+    again = (out / "norms.csv").read_text().splitlines()
+    assert again[1:] == rows[1:] and again[0] != rows[0] and "seed=7" in again[0]
+
+
 # d = 2, 1025 saved rows; the dyadic estimator reads every 8th of them
 MEMORY_OVERRIDES = dict(d="2", s="3.0", kmax="15", n_x="32", dt="0.0001220703125", t_end="0.125", save_every="1")
 MEMORY_FIELD_BYTES = 1025 * 32 * 32 * 8

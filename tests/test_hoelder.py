@@ -109,6 +109,34 @@ def test_naive_matches_triple_loop_oracle():
     assert rep.naive == pytest.approx(best, rel=1e-12)
 
 
+def meshgrid_naive(f, alpha):
+    """The exhaustive scan with node coordinates stacked from np.meshgrid,
+    as seminorm_naive built them before np.indices; returns (naive, pair)."""
+    mesh = np.meshgrid(*[np.arange(f.n_x) * f.dx] * f.d, indexing="ij")
+    pos = np.stack([g.ravel() for g in mesh], axis=1)
+    t_flat, x_flat = np.repeat(f.times, pos.shape[0]), np.tile(pos, (f.n_t, 1))
+    vals = f.values.reshape(-1)
+    best, best_pair = 0.0, None
+    for i in range(vals.size - 1):
+        dxs = np.abs(x_flat[i + 1 :] - x_flat[i]) % 1.0
+        dxs = np.minimum(dxs, 1.0 - dxs)
+        dist = np.sqrt(np.abs(t_flat[i + 1 :] - t_flat[i])) + np.sqrt(np.sum(dxs * dxs, axis=1))
+        quot = np.abs(vals[i + 1 :] - vals[i]) / dist**alpha
+        jrel = int(np.argmax(quot))
+        if quot[jrel] > best:
+            best, j = float(quot[jrel]), i + 1 + jrel
+            best_pair = ((float(t_flat[i]), tuple(x_flat[i])), (float(t_flat[j]), tuple(x_flat[j])))
+    return best, best_pair
+
+
+@pytest.mark.parametrize("d, n_x, n_t", [(1, 5, 4), (1, 16, 9), (2, 3, 5), (2, 8, 5), (3, 4, 3)])
+def test_naive_matches_meshgrid_oracle(d, n_x, n_t):
+    f = Field(np.random.default_rng(50).standard_normal((n_t,) + (n_x,) * d) ** 3, dt=1 / 64, t_start=0.25)
+    rep = seminorm_naive(f, 0.3)
+    naive, pair = meshgrid_naive(f, 0.3)
+    assert (rep.naive.hex(), rep.pair) == (naive.hex(), pair)
+
+
 def test_naive_witness_reproduces_value():
     rng = np.random.default_rng(8)
     f = random_field(rng, 3, 8, 1, dt=1 / 64)
@@ -264,6 +292,92 @@ def test_dyadic_matches_roll_oracle():
             theta, pair, level_R = roll_dyadic(f, alpha)
             assert _same_bits(rep.theta, theta), (f.values.shape, alpha, rep.theta, theta)
             assert (rep.pair, rep.level_R) == (pair, level_R), f.values.shape
+
+
+def piece_table_dyadic(f, alpha):
+    """The dyadic scan that read each periodic offset as a table of slice
+    pieces, one np.subtract per piece, before the wrap-padded copy.
+
+    Returns (theta, pair, level_R) of seminorm_dyadic on grids it accepts.
+    """
+    best, best_pair, best_R = 0.0, None, None
+    offsets = list(itertools.product((-1, 0, 1), repeat=f.d))
+    for _, R, st, sx in hoelder._dyadic_levels(f.n_x, f.dt):
+        sub = f.values[(slice(None, None, st),) + (slice(None, None, sx),) * f.d]
+        m_t, cells = sub.shape[:2]
+        roll = {}
+        for o in (-1, 0, 1):  # (into, from) slices with into[i] = from[(i + o) % cells]
+            k = o % cells
+            roll[o] = [(slice(0, cells - k), slice(k, cells)), (slice(cells - k, cells), slice(0, k))][: 2 if k else 1]
+        plan = [
+            (off, [tuple((slice(None),) + s for s in zip(*p)) for p in itertools.product(*(roll[o] for o in off))])
+            for off in offsets
+        ]
+        buf = np.empty(sub.shape)
+        scale = R**-alpha
+        for dt_idx in range(min(4, m_t)):
+            lead, base, diff = sub[dt_idx:], sub[: m_t - dt_idx], buf[: m_t - dt_idx]
+            for off, pieces in plan if dt_idx else plan[: len(plan) // 2]:
+                for into, frm in pieces:
+                    np.subtract(lead[frm], base[into], out=diff[into])
+                m = float(max(diff.max(), -diff.min()))
+                if m * scale > best:
+                    best, best_R = m * scale, R
+                    i_t, *p = np.unravel_index(np.argmax(np.abs(diff, out=diff)), diff.shape)
+                    t1 = f.t_start + (i_t + dt_idx) * st * f.dt
+                    t0 = f.t_start + i_t * st * f.dt
+                    x1 = tuple(((pi + o) * sx % f.n_x) * f.dx for pi, o in zip(p, off))
+                    x0 = tuple((pi * sx) * f.dx for pi in p)
+                    best_pair = ((t1, x1), (t0, x0))
+                elif m != m:
+                    raise hoelder._nan_error(sub, st, sx)
+    return best, best_pair, best_R
+
+
+def _piece_table_grids():
+    for d in (1, 2, 3):
+        for n_x in (2, 4, 8, 16):
+            for intervals in (2, 4, 8, 16, 64):
+                if (intervals + 1) * n_x**d > 70000:  # d = 3, n_x = 16 with 64 intervals
+                    continue
+                for dt in (1 / n_x**2, 1 / (4 * n_x**2), 1 / (3 * n_x**2)):
+                    yield d, n_x, intervals + 1, dt
+
+
+def test_dyadic_matches_piece_table_oracle():
+    rng = np.random.default_rng(48)
+    cases = 0
+    for d, n_x, n_t, dt in _piece_table_grids():
+        for t_start in (0.0, 0.25):
+            # cubed normals: heavy tails put near-ties among the largest increments
+            f = Field(rng.standard_normal((n_t,) + (n_x,) * d) ** 3, dt=dt, t_start=t_start)
+            rep = seminorm_dyadic(f, 0.3)
+            theta, pair, level_R = piece_table_dyadic(f, 0.3)
+            assert rep.theta.hex() == theta.hex(), (d, n_x, n_t, dt, t_start)
+            assert (rep.pair, rep.level_R) == (pair, level_R), (d, n_x, n_t, dt, t_start)
+            cases += 1
+    assert cases == 2 * 3 * (4 * 5 * 3 - 1)
+
+
+def _oracle_error(f):
+    try:
+        piece_table_dyadic(f, 0.3)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("the oracle accepted a non-finite field")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("d, n_x, n_t, dt", [(1, 16, 17, 1 / 256), (2, 4, 9, 1 / 64), (3, 4, 5, 1 / 16)])
+def test_dyadic_non_finite_sample_raises_as_the_piece_table_oracle(bad, d, n_x, n_t, dt):
+    vals = np.random.default_rng(49).standard_normal((n_t,) + (n_x,) * d)
+    vals[(slice(n_t // 2, None),) + (n_x - 1,) * d] = bad  # inf - inf at a time offset is NaN
+    f = Field(vals, dt=dt)
+    with pytest.raises(ValueError) as exc:
+        seminorm_dyadic(f, 0.3)
+    assert str(exc.value) == _oracle_error(f)
+    assert str(exc.value).startswith(f"NaN increment: sample {bad}")
 
 
 def test_dyadic_nan_sample_raises_naming_it():

@@ -478,7 +478,7 @@ def test_evaluate_single_pair_closed_form():
     coeffs[0, ::-1][i_plus] = np.conj(c)
     path = _manual_path(spec, modes, np.array([0.5]), coeffs)
     n_x = 8
-    f = evaluate_field(path, n_x)
+    (f,) = evaluate_field(path, n_x)
     x = np.arange(n_x) / n_x
     expected = 2.0 * np.real(c * np.exp(1j * 2 * np.pi * x))
     assert np.allclose(f.values[0], expected, atol=1e-14)
@@ -491,7 +491,7 @@ def test_evaluate_gradient_of_constant_mode_is_zero():
     zero = int(np.where(modes.m[:, 0] == 0)[0][0])
     coeffs[0, zero] = 2.5
     path = _manual_path(spec, modes, np.array([0.5]), coeffs)
-    g = evaluate_field(path, 8, mode=("gradient", 0))
+    (g,) = evaluate_field(path, 8, [0])
     assert np.all(g.values == 0)
 
 
@@ -591,16 +591,16 @@ def test_spectral_slabs_match_fill_scatter_oracle(monkeypatch, d, kmax, n_x):
 def test_evaluate_refined_grid_contains_coarse_nodes():
     spec = CovarianceSpec(1, 2.0, 3)
     path = sample_mode_states(spec, np.linspace(0, 1, 5), seed=13)
-    coarse = evaluate_field(path, 8).values
-    fine = evaluate_field(path, 16).values
+    coarse = evaluate_field(path, 8)[0].values
+    fine = evaluate_field(path, 16)[0].values
     assert np.allclose(fine[:, ::2], coarse, atol=1e-12)
 
 
 def test_evaluate_d2_gradient_components_differ():
     spec = CovarianceSpec(2, 3.0, 2)
     path = sample_mode_states(spec, np.array([0.0, 0.5, 1.0]), seed=3)
-    g0 = evaluate_field(path, 8, mode=("gradient", 0)).values
-    g1 = evaluate_field(path, 8, mode=("gradient", 1)).values
+    g0 = evaluate_field(path, 8, [0])[0].values
+    g1 = evaluate_field(path, 8, [1])[0].values
     assert g0.shape == (3, 8, 8)
     assert not np.allclose(g0, g1)
 
@@ -608,23 +608,37 @@ def test_evaluate_d2_gradient_components_differ():
 def test_evaluate_mode_list_is_one_pass_of_the_single_fields(monkeypatch):
     spec = CovarianceSpec(2, 3.0, 3)
     path = sample_mode_states(spec, np.linspace(0.0, 0.5, 9), seed=4)
-    modes = ["value", ("gradient", 0), ("gradient", 1)]
-    singles = [evaluate_field(path, 8, mode=m) for m in modes]
-    parts = []
+    parts = ["v", 0, 1]
+    singles = [evaluate_field(path, 8, [p])[0] for p in parts]
+    seen = []
     slabs = spectral_noise._spectral_slabs
 
     def counting(modes, coeffs, n_x, p, out=None):
-        parts.append(list(p))
+        seen.append(list(p))
         return slabs(modes, coeffs, n_x, p, out)
 
     monkeypatch.setattr(spectral_noise, "_spectral_slabs", counting)
-    fields = evaluate_field(path, 8, modes)
-    assert parts == [["v", 0, 1]]
+    fields = evaluate_field(path, 8, parts)
+    assert seen == [["v", 0, 1]]
     for f, g in zip(fields, singles):
         assert f.values.tobytes() == g.values.tobytes() and f.values.flags.c_contiguous
         assert (f.dt, f.t_start) == (g.dt, g.t_start)
-    with pytest.raises(ValueError, match="out of range"):
-        evaluate_field(path, 8, ["value", ("gradient", 2)])
+    with pytest.raises(ValueError, match=r"part 2 is neither 'v' nor an axis in \[0, 2\)"):
+        evaluate_field(path, 8, ["v", 2])
+    assert seen == [["v", 0, 1]]  # refused before any evaluation
+
+
+@pytest.mark.parametrize("bad", [True, "div_j", "value", -1, 2, 1.0, ("gradient", 0)])
+def test_evaluate_field_names_a_part_outside_its_vocabulary(monkeypatch, bad):
+    path = sample_mode_states(CovarianceSpec(2, 3.0, 1), np.linspace(0.0, 0.5, 3), seed=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad part reached the spectral pass")
+
+    monkeypatch.setattr(spectral_noise, "_spectral_slabs", refuse)
+    with pytest.raises(ValueError) as exc:
+        evaluate_field(path, 8, ["v", 0, bad])
+    assert str(exc.value) == f"evaluation part {bad!r} is neither 'v' nor an axis in [0, 2)"
 
 
 # ---------------------------------------------------------------------------
