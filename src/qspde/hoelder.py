@@ -173,8 +173,14 @@ def seminorm_dyadic(f: Field, alpha: float) -> HoelderReport:
     for n, R, st, sx in levels:
         sub = vals[(slice(None, None, st),) + (slice(None, None, sx),) * d]
         m_t, cells = sub.shape[:2]
-        # padded[:, 1 + o + i] = sub[:, (i + o) % cells] along each spatial axis
-        padded = np.pad(sub, [(0, 0)] + [(1, 1)] * d, mode="wrap")
+        # padded[:, 1 + o + i] = sub[:, (i + o) % cells] along each spatial
+        # axis: the interior, then each axis's two wrap layers, corners included
+        padded = np.empty((m_t,) + (cells + 2,) * d)
+        padded[(slice(None),) + (slice(1, -1),) * d] = sub
+        for ax in range(1, d + 1):
+            lead = (slice(None),) * ax
+            padded[lead + (0,)] = padded[lead + (cells,)]
+            padded[lead + (cells + 1,)] = padded[lead + (1,)]
         buf = np.empty(sub.shape)
         scale = R**-alpha
         for dt_idx in range(0, min(4, m_t)):

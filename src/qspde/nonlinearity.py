@@ -26,7 +26,9 @@ class Nonlinearity:
     da returns the diagonal Jacobian entries at the same shape.  lam is
     the declared ellipticity floor, Lam the declared Lipschitz constant
     of DA; both are promises checked by verify_ellipticity, not enforced
-    at call time.
+    at call time.  writes_out says that a also takes a buffer out of q's
+    shape, a(q, out=out), and writes the flux there; the solver's march
+    then steps without allocating the flux.
     """
 
     kind: str
@@ -34,6 +36,7 @@ class Nonlinearity:
     Lam: float
     a: Callable[[np.ndarray], np.ndarray]
     da: Callable[[np.ndarray], np.ndarray]
+    writes_out: bool = False
 
     def __repr__(self):
         return f"Nonlinearity({self.kind!r}, lam={self.lam}, Lam={self.Lam})"
@@ -53,11 +56,11 @@ def builtin(kind: str, lam: float = 1.0) -> Nonlinearity:
     lam = float(lam)
     rest = 1.0 - lam
 
-    def a(q):
+    def a(q, out=None):
         # lam*q + (1-lam)*tanh(q), in place on the tanh array (a scalar
         # for 0-d q, which the augmented operators simply rebind)
         q = np.asarray(q, dtype=np.float64)
-        out = np.tanh(q)
+        out = np.tanh(q, out=out)
         out *= rest
         out += lam * q
         return out
@@ -66,7 +69,7 @@ def builtin(kind: str, lam: float = 1.0) -> Nonlinearity:
         q = np.asarray(q, dtype=np.float64)
         return lam + (1.0 - lam) / np.cosh(q) ** 2
 
-    return Nonlinearity("tanh_perturbed", lam, (1.0 - lam) * SECH2_SLOPE_MAX, a, da)
+    return Nonlinearity("tanh_perturbed", lam, (1.0 - lam) * SECH2_SLOPE_MAX, a, da, writes_out=True)
 
 
 def _ones_like(q):

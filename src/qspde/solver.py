@@ -144,7 +144,10 @@ class _FluxMarch:
     """Explicit flux-form Euler steps of a batch of slabs, shape (B,) + grid.
 
     Differences to faces and back are slice pairs plus one wrap-around
-    layer per axis, written into face buffers allocated once per march.
+    layer per axis, written into face buffers allocated once per march;
+    the slice views of those buffers and of every ring slot are built once
+    per march too, and a flux that writes_out writes into the march's
+    flux buffer, so a step of a built-in flux allocates almost nothing.
     Each step runs the ufuncs of the np.roll formulation on the same
     operands, so its output is bitwise that formulation's.  grad v and j
     arrive already averaged onto faces, shape (d,) + grid per step,
@@ -159,29 +162,42 @@ class _FluxMarch:
         shape = (batch,) + (n_x,) * d
         g, self._q, self._f, o, self._div = (np.empty(shape) for _ in range(5))
         self._g, self._o, self._zero = g, o, np.zeros(shape)
-        # per axis: head, tail, first, last and the face views every step writes
-        layers = [_layers(d, n_x, a) for a in range(d)]
-        self._axes = [lay + (g[lay[0]], g[lay[3]], o[lay[1]], o[lay[2]]) for lay in layers]
+        self._layers = [_layers(d, n_x, a) for a in range(d)]
+        # per axis: the face views every step writes, and the layers of every
+        # ring slot and of each buffer a flux can return (its argument g or q,
+        # or the flux buffer it writes into), built once per march
+        self._faces = [(g[head], g[last], o[tail], o[first]) for head, tail, first, last in self._layers]
         self.ring = np.zeros((block + 1,) + shape)
+        self._rows = list(self.ring)
+        self._slots = [self._cut(w) for w in self._rows]
+        self._owned = {id(x): self._cut(x) for x in (g, self._q, self._f)}
 
-    def divergence(self, w, gvf=None, jf=None, hook=None) -> np.ndarray:
-        """Backward divergence of A(grad w + gvf) + jf, into a reused buffer.
+    def _cut(self, x):
+        """Per grid axis, the (head, tail, first, last) views of x."""
+        return [tuple(x[s] for s in lay) for lay in self._layers]
+
+    def divergence(self, k, gvf=None, jf=None, hook=None) -> np.ndarray:
+        """Backward divergence of A(grad w + gvf) + jf at w = ring[k], into a reused buffer.
 
         hook(g, f), when given, sees each axis's face gradient of w and
         flux A(g + gvf) before j is added.
         """
-        div, dx, g, o = self._div, self.dx, self._g, self._o
-        for a, (head, tail, first, last, g_head, g_last, o_tail, o_first) in enumerate(self._axes):
-            np.subtract(w[tail], w[head], g_head)
-            np.subtract(w[first], w[last], g_last)
+        div, dx, g, o, buf, nl = self._div, self.dx, self._g, self._o, self._f, self.nl
+        for a, ((w_head, w_tail, w_first, w_last), (g_head, g_last, o_tail, o_first)) in enumerate(
+            zip(self._slots[k], self._faces)
+        ):
+            np.subtract(w_tail, w_head, g_head)
+            np.subtract(w_first, w_last, g_last)
             np.true_divide(g, dx, g)
-            f = self.nl.a(g if gvf is None else np.add(g, gvf[a], self._q))
+            q = g if gvf is None else np.add(g, gvf[a], self._q)
+            f = nl.a(q, out=buf) if nl.writes_out else nl.a(q)
             if hook is not None:
                 hook(g, f)
             if jf is not None:
-                f = np.add(f, jf[a], self._f)
-            np.subtract(f[tail], f[head], o_tail)
-            np.subtract(f[first], f[last], o_first)
+                f = np.add(f, jf[a], buf)
+            f_head, f_tail, f_first, f_last = (self._owned.get(id(f)) or self._cut(f))[a]
+            np.subtract(f_tail, f_head, o_tail)
+            np.subtract(f_first, f_last, o_first)
             np.true_divide(o, dx, o)
             np.add(div if a else self._zero, o, div)  # starts at +0, so -0 becomes +0
         return div
@@ -198,16 +214,16 @@ class _FluxMarch:
         the rest of the block.  A row's nodes are scanned only when its
         mean is not finite, so a finite row whose sum overflows goes on.
         """
-        ring, step = self.ring, np.array(dt)
+        rows, step = self._rows, np.array(dt)
         for k, i in enumerate(range(lo, lo + n)):
             jf = None if j_faces is None else j_faces(i * dt)
             h = None if hook is None else functools.partial(hook, i)
-            div = self.divergence(ring[k], None if gvf is None else gvf[k], jf, h)
+            div = self.divergence(k, None if gvf is None else gvf[k], jf, h)
             if src is not None:
                 np.add(div, src[k], div)
             np.multiply(div, step, div)
-            np.add(ring[k], div, ring[k + 1])
-        states = ring[1 : n + 1]
+            np.add(rows[k], div, rows[k + 1])
+        states = self.ring[1 : n + 1]
         # bitwise row.mean() for every row of every state
         means = np.add.reduce(states.reshape(n, states.shape[1], -1), -1) / states[0, 0].size
         for k, b in np.argwhere(~np.isfinite(means)):  # step order, then row

@@ -6,7 +6,8 @@ convolution driven by a complex Brownian motion with spectral weight
 khat(k) = (1 + |k|^2)^(-s/2); noise is injected only on (0, 1], after
 which modes decay deterministically.  Advancing a mode between two grid
 times uses the exact Gaussian transition law, so grid values have the
-exact law of the continuum object regardless of step size.
+exact law of the continuum object regardless of step size.  The
+transitions of every grid run as one numpy recursion over the rows.
 """
 
 from __future__ import annotations
@@ -308,8 +309,8 @@ class NoisePath:
         return float(steps[0]) if steps.size else 0.0
 
 
-# rows of normals drawn and filtered at a time on the uniform-grid path
-_CHUNK = 8192
+# bytes of normals drawn at a time: the whole streams of one group of modes
+_DRAW_BYTES = 1 << 18
 
 
 def sample_mode_states(
@@ -325,65 +326,61 @@ def sample_mode_states(
     (deterministic decay); each transition uses the exact window-clamped
     moments.  Deterministic given (spec, times, seed, realization).
 
-    On a uniform grid inside [0, 1] the recursion runs per mode in blocks
-    of _CHUNK rows, so only one block of normals is held at a time; any
-    other grid takes the vectorised exact-step loop.
-
     Each representative mode draws its normals from a Philox stream keyed
     by the seed with counter [draw, 0, realization, mode index], two per
     grid time (the first pair drives the transition from rest into
     times[0]).  The index is the mode's position in the order for this
-    kmax, so changing kmax changes every mode's draws.
+    kmax, so changing kmax changes every mode's draws.  Whole streams are
+    drawn a group of modes at a time, at most _DRAW_BYTES of normals (one
+    stream if a single stream is larger), and written as standard complex
+    Gaussians into the coefficients; one loop over the rows then runs the
+    exact recursion row = decay * previous row + sqrt(var) * row for every
+    mode at once.  The moments are computed once on a uniform grid inside
+    [0, 1] and once per step on any other grid.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    if np.any(np.diff(times) <= 0):
+    steps = np.diff(times)
+    if np.any(steps <= 0):
         raise ValueError("times must be strictly increasing")
-    n_steps = times.size - 1
     if modes is None:
         modes = make_mode_set(spec.d, spec.kmax)
     h = len(modes) // 2
     ksq = modes.ksq[h:]
     kh = spec.khat(modes.k[h:])
     stream = _mode_streams(seed, realization)
-    # first state: transition from rest at time 0 (or zero if t <= 0)
-    _, var0 = step_moments(ksq, kh, 0.0, max(times[0], 0.0))
-    sig0 = np.sqrt(var0)
     coeffs = np.empty((times.size, len(modes)), dtype=np.complex128)
     upper = coeffs[:, h:]
 
-    uniform = n_steps > 0 and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-12, atol=1e-15)
-    if uniform and times[0] >= 0.0 and times[-1] <= 1.0:
-        # constant-coefficient recursion, one lfilter per mode and block;
-        # imported here: loading scipy.signal costs about 0.8 s and 70 MB
-        from scipy.signal import lfilter
+    group = max(1, _DRAW_BYTES // (16 * times.size))
+    normals = np.empty((min(group, ksq.size), times.size, 2))
+    for lo in range(0, ksq.size, group):
+        z = normals[: ksq.size - lo]
+        for j, out in enumerate(z, start=h + lo):
+            stream(j).standard_normal(out=out)
+        _to_complex(z, ksq[lo : lo + len(z)], upper[:, lo : lo + len(z)].T)
 
-        decay, var = step_moments(ksq, kh, 0.0, times[1] - times[0])
-        sig = np.sqrt(var)
-        for j in range(ksq.size):
-            gen = stream(h + j)
-            upper[0, j] = (sig0[j] * _to_complex(gen.standard_normal((1, 2)), ksq[j]))[0]
-            zi = np.array([decay[j] * upper[0, j]])
-            done = 0
-            while done < n_steps:
-                c = min(_CHUNK, n_steps - done)
-                noise = sig[j] * _to_complex(gen.standard_normal((c, 2)), ksq[j])
-                y, zi = lfilter([1.0], [1.0, -decay[j]], noise, zi=zi)
-                upper[done + 1 : done + 1 + c, j] = y
-                done += c
+    # first state: transition from rest at time 0 (or zero if t <= 0)
+    _, var0 = step_moments(ksq, kh, 0.0, max(times[0], 0.0))
+    upper[0] *= np.sqrt(var0)
+    inside = times[0] >= 0.0 and times[-1] <= 1.0
+    uniform = inside and steps.size > 0 and np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15)
+    if uniform:
+        # one decay for every step, complex so that no row's product casts
+        # it again; the rows take their sqrt(var) here, in one product
+        decay, var = step_moments(ksq, kh, 0.0, steps[0])
+        upper[1:] *= np.sqrt(var)
+        moments = itertools.repeat((decay.astype(np.complex128), None))
     else:
-        normals = np.empty((ksq.size, times.size, 2), dtype=np.float64)
-        for j in range(ksq.size):
-            stream(h + j).standard_normal(out=normals[j])
-        cur = sig0 * _to_complex(normals[:, 0, :], ksq)
-        upper[0] = cur
-        for i in range(1, times.size):
-            decay, var = step_moments(ksq, kh, times[i - 1], times[i])
-            cur = decay * cur + np.sqrt(var) * _to_complex(normals[:, i, :], ksq)
-            upper[i] = cur
+        moments = (step_moments(ksq, kh, t0, t1) for t0, t1 in zip(times, times[1:]))
+    carry = np.empty(ksq.size, dtype=np.complex128)
+    for (decay, var), prev, row in zip(moments, upper, upper[1:]):
+        if var is not None:
+            row *= np.sqrt(var)
+        np.add(row, np.multiply(decay, prev, out=carry), out=row)
 
     # conjugation keeps finiteness, so checking the upper half suffices
     if not np.isfinite(upper).all():
@@ -393,10 +390,15 @@ def sample_mode_states(
     return NoisePath(spec, modes, times, coeffs, seed, realization)
 
 
-def _to_complex(z, ksq):
-    # pairs of normals along the last axis -> standard complex Gaussians;
-    # the zero mode stays real and its second normal is deliberately unused
-    return np.where(ksq > 0.0, (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0), z[..., 0])
+def _to_complex(z, ksq, out):
+    # pairs of normals along the last axis -> standard complex Gaussians in
+    # out, (z[..., 0] + 1j * z[..., 1]) / sqrt(2) with no temporary; the zero
+    # mode stays real and its second normal is deliberately unused
+    np.multiply(1j, z[..., 1], out=out)
+    out += z[..., 0]
+    out /= np.sqrt(2.0)
+    zero = ksq == 0.0
+    out[zero] = z[zero, ..., 0]
 
 
 # ---------------------------------------------------------------------------

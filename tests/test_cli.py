@@ -22,7 +22,7 @@ from qspde.hoelder import c1alpha_seminorm, centered_gradient, seminorm_dyadic
 from qspde.mc_harness import _noise_path
 from qspde.nonlinearity import builtin
 from qspde.solver import SolverConfig, solve
-from qspde.spectral_noise import CovarianceSpec, Field, make_mode_set, read_qspd, sample_mode_states, write_qspd
+from qspde.spectral_noise import CovarianceSpec, Field, make_mode_set, read_qspd, write_qspd
 
 BASE = {
     "d": "1",
@@ -598,7 +598,6 @@ def traced_peak(capsys, argv) -> int:
 def test_cli_solve_peak_memory(tmp_path, capsys):
     # w, v and the noise coefficients; u goes into w's buffer, v reads the
     # coefficients of the saves in place, and grad v is not kept
-    sample_mode_states(CovarianceSpec(2, 3.0, 1), np.arange(3) / 4, seed=0)  # load lfilter before tracing
     cfgp = write_cfg(tmp_path, **MEMORY_OVERRIDES)
     peak = traced_peak(capsys, ["solve", "--config", str(cfgp), "--out", str(tmp_path / "run")])
     assert peak <= 5.0 * MEMORY_FIELD_BYTES

@@ -55,7 +55,8 @@ def flux_divergence(w, grad_v=None, j=None, nl=IDENT):
     w = np.asarray(w, dtype=np.float64)
     d, n_x = w.ndim, w.shape[0]
     march = _FluxMarch(d, n_x, nl, 1)
-    return march.divergence(w[None], _on_faces(grad_v, d), _on_faces(j, d))[0]
+    march.ring[0] = w
+    return march.divergence(0, _on_faces(grad_v, d), _on_faces(j, d))[0]
 
 
 def step(w, t, cfg, grad_v=None, j=None, source=None):
@@ -510,6 +511,41 @@ def test_contraction_tanh_dissipation_nonnegative():
     assert rep.min_dissipation >= -1e-10
     assert rep.final_distance <= rep.initial_distance
     assert rep.mean_drift_rate <= 1e-10
+
+
+@pytest.mark.parametrize("d, n_x", [(1, 12), (2, 6)])
+@pytest.mark.parametrize("nl", [IDENT, TANH], ids=["identity", "tanh"])
+@pytest.mark.parametrize("with_j", [False, True], ids=["no_j", "j"])
+def test_contraction_hook_matches_roll_oracle(d, n_x, nl, with_j):
+    # the dissipation that contraction_test's hook sums from the march's
+    # face gradients and fluxes, and the distances, bitwise those of two
+    # np.roll marches stepped side by side
+    dt = 0.25 / (n_x * n_x * 2 * d)
+    n_steps = 10
+    path = uniform_path(d, 2.0 if d == 1 else 3.0, 2, dt, n_steps, seed=31)
+    cfg = SolverConfig(d, n_x, dt, n_steps * dt, nl)
+    grid = (n_x,) * d
+    j = np.random.default_rng(d).standard_normal((d,) + grid) if with_j else None
+    rep = contraction_test(cfg, path, j, epsilon=1e-3, seed=8)
+
+    pert = np.random.default_rng(8).standard_normal(grid)  # the pair contraction_test starts from
+    pert -= pert.mean()
+    pair = [np.zeros(grid), pert * (1e-3 / np.max(np.abs(pert)))]
+    gv = _spectral_slabs(path.modes, path.coeffs[:n_steps], n_x, range(d))
+    dx, cell = 1.0 / n_x, (1.0 / n_x) ** d
+    dissipation = np.zeros(n_steps)
+    distances = [pair]
+    for i in range(n_steps):
+        for a in range(d):
+            gvf = 0.5 * (gv[i, a] + np.roll(gv[i, a], -1, axis=a))
+            g = [(np.roll(w, -1, axis=a) - w) / dx for w in pair]
+            f = [nl.a(gw + gvf) for gw in g]
+            dissipation[i] += float(np.sum((g[0] - g[1]) * (f[0] - f[1]))) * cell
+        pair = [w + dt * _roll_divergence(w, gv[i], j, nl) for w in pair]
+        distances.append(pair)
+    sq = np.array([((w0 - w1) ** 2).reshape(-1) for w0, w1 in distances])
+    assert rep.dissipation.tobytes() == dissipation.tobytes()
+    assert rep.distances.tobytes() == np.sqrt(np.add.reduce(sq, -1) * cell).tobytes()
 
 
 def test_contraction_divergence_names_copy_and_node():

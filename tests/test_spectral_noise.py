@@ -297,13 +297,13 @@ def test_non_finite_variance_is_reported(monkeypatch, times):
 
 @pytest.mark.parametrize(
     "times, bound",
-    [(np.arange(2**14 + 1) / 2**14, 1.2), ((np.arange(2**12 + 1) / 2**12) ** 2, 1.7)],
+    [(np.arange(2**14 + 1) / 2**14, 1.2), ((np.arange(2**12 + 1) / 2**12) ** 2, 1.2)],
     ids=["uniform", "nonuniform"],
 )
 def test_sampler_peak_memory_near_coeffs(times, bound):
     # representatives are written straight into coeffs and the conjugate
     # half is filled in place: no states copy and no full-size temporaries.
-    # The non-uniform grid also holds its normals, half the size of coeffs.
+    # Every grid holds one draw group of normals, at most _DRAW_BYTES.
     spec = CovarianceSpec(1, 2.0, 31)
     modes = make_mode_set(1, 31)
     sample_mode_states(spec, times[:4], seed=3, modes=modes)  # warm caches
@@ -316,67 +316,146 @@ def test_sampler_peak_memory_near_coeffs(times, bound):
     assert peak <= bound * path.coeffs.nbytes
 
 
-# Run in a fresh interpreter: importing qspde, a scaling fit (non-uniform
-# times) and `qspde norms` never load scipy.signal; uniform sampling does.
-DEFERRED_IMPORT_SCRIPT = """
+# Run in a fresh interpreter where every scipy import fails: the package,
+# uniform and non-uniform sampling, a scaling fit and the sample-noise,
+# solve, norms and mc subcommands need numpy alone.
+NO_SCIPY_SCRIPT = """
 import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule raises ImportError
 import numpy as np
 import qspde
 from qspde import cli
 
-def loaded():
-    return "scipy.signal" in sys.modules
-
-seen = [loaded()]
+spec = qspde.CovarianceSpec(1, 2.0, 3)
+qspde.sample_mode_states(spec, np.arange(5) / 4, seed=0)
+qspde.sample_mode_states(spec, np.array([-0.5, 0.1, 0.4, 1.0, 1.5]), seed=0)
 qspde.increment_scaling_fit(qspde.CovarianceSpec(1, 1.5, 127), 2, seed=1)
-seen.append(loaded())
-x = np.arange(8) / 8
-w = np.sin(2 * np.pi * (x + np.arange(17)[:, None] / 64))
-for name, vals in (("w", w), ("v", 0.5 * w * w)):
-    qspde.write_qspd(f"out/{name}.qspd", qspde.Field(vals, dt=2.0**-6))  # the saves of exp.cfg
-assert cli.main(["norms", "--config", "exp.cfg"]) == 0
-seen.append(loaded())
-qspde.sample_mode_states(qspde.CovarianceSpec(1, 2.0, 3), np.arange(5) / 4, seed=0)
-seen.append(loaded())
-print(seen)
+for command in ("sample-noise", "solve", "norms", "mc"):
+    assert cli.main([command, "--config", "exp.cfg"]) == 0, command
+print("numpy only")
 """
 
 
-def test_scipy_signal_loads_only_for_uniform_sampling(tmp_path):
+def test_package_runs_without_scipy(tmp_path):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    (tmp_path / "out").mkdir()
     config = dict(d=1, s=2.0, kmax=3, n_x=8, dt=2.0**-8, t_end=0.25, save_every=4, alpha=0.3)
-    config.update(nonlinearity="tanh_perturbed", j_mode="zero", seed=1, n_realizations=1, out_dir="out")
+    config.update(nonlinearity="tanh_perturbed", j_mode="zero", mc_solve="true", seed=1, n_realizations=1)
+    config.update(out_dir="out")
     (tmp_path / "exp.cfg").write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", DEFERRED_IMPORT_SCRIPT], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-c", NO_SCIPY_SCRIPT], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[False, False, False, True]"
+    assert proc.stdout.strip().splitlines()[-1] == "numpy only"
 
 
 def test_strided_sampler_bitwise_matches_full_grid(monkeypatch):
-    # a coarse view of a fine path is its row slice; the block size of the
-    # uniform-grid recursion must not change the carry between blocks.
-    # Bytes, not values: the rows keep the full grid's signed zeros.
+    # a coarse view of a fine path is its row slice; the draw group size
+    # must not change a byte.  Bytes, not values: the rows keep the full
+    # grid's signed zeros.
     spec = CovarianceSpec(1, 2.0, 3)
     times = np.arange(65) / 64
     full = sample_mode_states(spec, times, seed=77, realization=5)
-    monkeypatch.setattr(spectral_noise, "_CHUNK", 7)
-    blocked = sample_mode_states(spec, times, seed=77, realization=5)
-    assert blocked.coeffs.tobytes() == full.coeffs.tobytes()
-    for stride in (1, 4, 16):
-        assert blocked.coeffs[::stride].tobytes() == full.coeffs[::stride].tobytes()
+    for group in (1, 3):  # one stream at a time; groups of 3 and 1
+        monkeypatch.setattr(spectral_noise, "_DRAW_BYTES", 16 * times.size * group)
+        blocked = sample_mode_states(spec, times, seed=77, realization=5)
+        assert blocked.coeffs.tobytes() == full.coeffs.tobytes()
+        for stride in (1, 4, 16):
+            assert blocked.coeffs[::stride].tobytes() == full.coeffs[::stride].tobytes()
 
 
 def test_strided_sampler_d2(monkeypatch):
     spec = CovarianceSpec(2, 3.0, 2)
     times = np.arange(33) / 32
     full = sample_mode_states(spec, times, seed=9)
-    monkeypatch.setattr(spectral_noise, "_CHUNK", 5)
+    monkeypatch.setattr(spectral_noise, "_DRAW_BYTES", 16 * times.size * 5)  # groups of 5, 5 and 3
     blocked = sample_mode_states(spec, times, seed=9)
     assert blocked.coeffs.tobytes() == full.coeffs.tobytes()
+
+
+def two_branch_sampler(spec, times, seed, realization=0, chunk=8192):
+    """The sampler as it was with two recursions, kept as an oracle.
+
+    A uniform grid inside [0, 1] filtered each mode with scipy's lfilter in
+    blocks of chunk rows, carrying the filter state; any other grid took an
+    exact step per row for all modes at once.  Each mode's stream is built
+    fresh (mode_stream), independently of the shared generator.
+    """
+    from scipy.signal import lfilter
+
+    times = np.asarray(times, dtype=np.float64)
+    modes = make_mode_set(spec.d, spec.kmax)
+    h = len(modes) // 2
+    ksq = modes.ksq[h:]
+    kh = spec.khat(modes.k[h:])
+
+    def to_complex(z, ksq):
+        return np.where(ksq > 0.0, (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0), z[..., 0])
+
+    _, var0 = step_moments(ksq, kh, 0.0, max(times[0], 0.0))
+    sig0 = np.sqrt(var0)
+    coeffs = np.empty((times.size, len(modes)), dtype=np.complex128)
+    upper = coeffs[:, h:]
+    n_steps = times.size - 1
+    uniform = n_steps > 0 and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-12, atol=1e-15)
+    if uniform and times[0] >= 0.0 and times[-1] <= 1.0:
+        decay, var = step_moments(ksq, kh, 0.0, times[1] - times[0])
+        sig = np.sqrt(var)
+        for j in range(ksq.size):
+            gen = mode_stream(seed, realization, h + j)
+            upper[0, j] = (sig0[j] * to_complex(gen.standard_normal((1, 2)), ksq[j]))[0]
+            zi = np.array([decay[j] * upper[0, j]])
+            done = 0
+            while done < n_steps:
+                c = min(chunk, n_steps - done)
+                noise = sig[j] * to_complex(gen.standard_normal((c, 2)), ksq[j])
+                y, zi = lfilter([1.0], [1.0, -decay[j]], noise, zi=zi)
+                upper[done + 1 : done + 1 + c, j] = y
+                done += c
+    else:
+        streams = [mode_stream(seed, realization, h + j) for j in range(ksq.size)]
+        normals = np.array([gen.standard_normal((times.size, 2)) for gen in streams])
+        cur = sig0 * to_complex(normals[:, 0, :], ksq)
+        upper[0] = cur
+        for i in range(1, times.size):
+            decay, var = step_moments(ksq, kh, times[i - 1], times[i])
+            cur = decay * cur + np.sqrt(var) * to_complex(normals[:, i, :], ksq)
+            upper[i] = cur
+    np.conjugate(coeffs[:, :h:-1], out=coeffs[:, :h])
+    return coeffs
+
+
+# grids of both former branches: uniform from 0 and from inside (0, 1),
+# non-uniform or reaching outside [0, 1], and one or two rows
+ORACLE_GRIDS = {
+    "uniform_from_0": np.arange(33) / 32,
+    "uniform_inside": 0.25 + np.arange(24) / 64,
+    "uniform_to_1": np.linspace(0.5, 1.0, 17),
+    "nonuniform_across_0_and_1": np.array([-0.5, -0.125, 0.0, 0.1, 0.35, 0.4, 0.9, 1.0, 1.25, 3.0]),
+    "uniform_across_0": np.arange(-4, 12) / 8,
+    "uniform_past_1": np.arange(4, 20) / 8,
+    "nonuniform_inside": np.sort(np.random.default_rng(8).random(21)),
+    "one_row": np.array([0.3]),
+    "one_row_at_0": np.array([0.0]),
+    "two_rows": np.array([0.0, 0.125]),
+    "two_rows_across_1": np.array([0.75, 1.5]),
+}
+
+
+@pytest.mark.parametrize("grid", list(ORACLE_GRIDS))
+@pytest.mark.parametrize(
+    "d, s, kmax", [(1, 2.0, 1), (1, 1.5, 2), (1, 2.0, 7), (1, 1.5, 31), (2, 3.0, 1), (2, 3.0, 4), (3, 4.0, 1), (3, 3.5, 2)]
+)
+def test_one_recursion_matches_two_branch_oracle(grid, d, s, kmax):
+    times = ORACLE_GRIDS[grid]
+    spec = CovarianceSpec(d, s, kmax)
+    modes = make_mode_set(d, kmax)
+    for k in range(20):
+        seed, realization = 1000 + 7 * k, (3 * k) % 11
+        path = sample_mode_states(spec, times, seed, realization, modes=modes)
+        want = two_branch_sampler(spec, times, seed, realization, chunk=(5, 8192)[k % 2])
+        assert path.coeffs.tobytes() == want.tobytes(), (seed, realization)
 
 
 def mode_stream(root_seed: int, realization: int, mode_index: int) -> np.random.Generator:
