@@ -20,6 +20,7 @@ repeated single-worker runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -32,8 +33,20 @@ from .config import ConfigError, ExperimentConfig, _cell, config_hash, parse_con
 from .hoelder import HoelderReport, _row_stride, c1alpha_seminorm, centered_gradient, seminorm_dyadic
 from .mc_harness import CampaignFailure, McRecord, _noise_path, _solver_setup, covariance_check, run_campaign
 from .nonlinearity import builtin, verify_ellipticity
-from .solver import solve
-from .spectral_noise import CovarianceSpec, Field, evaluate_field, read_qspd, write_qspd
+from .solver import _keep, solve
+from .spectral_noise import (
+    CovarianceSpec,
+    Field,
+    _read_qspd_header,
+    _read_qspd_rows,
+    _write_qspd_rows,
+    evaluate_field,
+    read_qspd,
+    write_qspd,
+)
+
+# bytes of a block of time rows that solve and norms stream through v.qspd
+_BLOCK_BYTES = 1 << 20
 
 
 class _CliError(Exception):
@@ -116,13 +129,19 @@ def _write_csv(cfg: ExperimentConfig, name: str, columns, rows) -> str:
     return path
 
 
+def _block_rows(grid) -> int:
+    """Time rows per _BLOCK_BYTES block of a field on grid, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * int(np.prod(grid))))
+
+
 def _cmd_sample_noise(cfg: ExperimentConfig, args) -> dict:
     path = _noise_path(cfg, 0)
     names = [f"{name}.qspd" for name in ["v"] + [f"grad_v_{a}" for a in range(cfg.d)]]
     written = [_out(cfg, name) for name in names]
-    fields = evaluate_field(path, cfg.n_x, ["v", *range(cfg.d)])
-    for fp, f in zip(written, fields):
+    for fp, part in zip(written, ["v", *range(cfg.d)]):  # one field at a time: evaluated, written, dropped
+        [f] = evaluate_field(path, cfg.n_x, [part])
         write_qspd(fp, f)
+        del f
     written.append(_write_report(cfg, "sample-noise", "sample_noise_meta.json", {"files": names}))
     return {"written": written, "config_hash": config_hash(cfg), "seed": cfg.seed}
 
@@ -136,10 +155,22 @@ def _cmd_solve(cfg: ExperimentConfig, args) -> dict:
     dt_save = cfg.dt * cfg.save_every
     names = ["u.qspd", "w.qspd", "v.qspd"]
     written = [_out(cfg, name) for name in names]
-    write_qspd(written[1], Field(traj.w, dt=dt_save))
-    write_qspd(written[2], Field(traj.v, dt=dt_save))
-    # u = w + v goes into w's buffer, which is written already
-    write_qspd(written[0], Field(np.add(traj.w, traj.v, out=traj.w), dt=dt_save))
+    w = traj.w
+    write_qspd(written[1], Field(w, dt=dt_save))
+    rows = _block_rows(w.shape[1:])
+    buf = np.empty((rows,) + w.shape[1:])
+
+    def v_blocks():
+        # v a block of saves at a time; once a block is written, u = w + v
+        # goes into w's buffer, which is written already
+        for lo in range(0, len(w), rows):
+            hi = min(lo + rows, len(w))
+            v = traj.v_rows(lo, hi, buf[: hi - lo])
+            yield v
+            np.add(w[lo:hi], v, out=w[lo:hi])
+
+    _write_qspd_rows(written[2], w.shape, dt_save, 0.0, v_blocks())
+    write_qspd(written[0], Field(w, dt=dt_save))
     meta = {"files": names, "mean_drift_rate": traj.mean_drift_rate, "j_mode": cfg.j_mode}
     written.append(_write_report(cfg, "solve", "solve_meta.json", meta))
     return {
@@ -150,20 +181,21 @@ def _cmd_solve(cfg: ExperimentConfig, args) -> dict:
     }
 
 
-def _require_finite(fp: str, f: Field):
-    if not np.isfinite(f.values).all():
-        i_t, *node = np.argwhere(~np.isfinite(f.values))[0].tolist()
-        raise _CliError(1, "validation", [f"norms: {fp}: non-finite value at time index {i_t}, node {tuple(node)}"])
+def _require_finite(fp: str, values: np.ndarray, t0: int = 0):
+    """values, the time rows t0, t0 + 1, ... of the field in fp, must be finite."""
+    if not np.isfinite(values).all():
+        i_t, *node = np.argwhere(~np.isfinite(values))[0].tolist()
+        msg = f"norms: {fp}: non-finite value at time index {t0 + i_t}, node {tuple(node)}"
+        raise _CliError(1, "validation", [msg])
 
 
-def _require_one_grid(wp: str, w: Field, vp: str, v: Field):
-    """w and v must be the saves of one solve: one shape, dt and t_start, with dt finite and > 0."""
-    pairs = (("shape", w.values.shape, v.values.shape), ("dt", w.dt, v.dt), ("t_start", w.t_start, v.t_start))
-    for name, a, b in pairs:
+def _require_one_grid(wp: str, w: tuple, vp: str, v: tuple):
+    """w and v, each (shape, dt, t_start), must be the saves of one solve, with dt finite and > 0."""
+    for name, a, b in zip(("shape", "dt", "t_start"), w, v):
         if a != b:
             raise _CliError(1, "validation", [f"norms: {wp} and {vp} are not on one grid: {name} {a} against {b}"])
-    if not 0.0 < w.dt < np.inf:
-        raise _CliError(1, "validation", [f"norms: {wp} and {vp}: dt must be finite and > 0, got {w.dt}"])
+    if not 0.0 < w[1] < np.inf:
+        raise _CliError(1, "validation", [f"norms: {wp} and {vp}: dt must be finite and > 0, got {w[1]}"])
 
 
 def _require_config_grid(cfg: ExperimentConfig, wp: str, w: Field):
@@ -179,23 +211,32 @@ def _require_config_grid(cfg: ExperimentConfig, wp: str, w: Field):
 def _cmd_norms(cfg: ExperimentConfig, args) -> dict:
     wp = os.path.join(cfg.out_dir, "w.qspd")
     vp = os.path.join(cfg.out_dir, "v.qspd")
-    try:
-        w = read_qspd(wp)
-        v = read_qspd(vp)
-    except (OSError, ValueError) as exc:
-        raise _CliError(1, "validation", [f"norms: run solve first; {exc}"])
-    _require_one_grid(wp, w, vp, v)
-    _require_config_grid(cfg, wp, w)
-    _require_finite(wp, w)
-    _require_finite(vp, v)
-    # gradients only on the rows the dyadic estimator reads
-    s = _row_stride(v.n_t, v.n_x, v.dt)
-    grad_v = centered_gradient(Field(v.values[::s], dt=s * v.dt))
-    gv = [Field(g, dt=s * v.dt, t_start=v.t_start) for g in grad_v.swapaxes(0, 1)]
-    del v  # v is not read again
+    with contextlib.ExitStack() as files:
+        try:
+            w = read_qspd(wp)
+            vfh = files.enter_context(open(vp, "rb"))
+            v_shape, v_dt, v_t_start = _read_qspd_header(vfh)
+        except (OSError, ValueError) as exc:
+            raise _CliError(1, "validation", [f"norms: run solve first; {exc}"])
+        _require_one_grid(wp, (w.values.shape, w.dt, w.t_start), vp, (v_shape, v_dt, v_t_start))
+        _require_config_grid(cfg, wp, w)
+        _require_finite(wp, w.values)
+        # gradients only on the rows the dyadic estimator reads; v is read a
+        # block at a time, and only those rows of it are kept
+        s = _row_stride(w.n_t, w.n_x, w.dt)
+        grid = w.values.shape[1:]
+        kept = np.empty(((w.n_t - 1) // s + 1,) + grid)
+        rows = _block_rows(grid)
+        for lo in range(0, w.n_t, rows):
+            block = _read_qspd_rows(vfh, grid, min(rows, w.n_t - lo))
+            _require_finite(vp, block, lo)
+            _keep(block, lo, s, kept)
+    del block  # not read again
     wnorms = [c1alpha_seminorm(w, alpha) for alpha in cfg.alphas]
-    # grad w after the temporal quotient, so that their buffers never meet
-    s = _row_stride(w.n_t, w.n_x, w.dt)
+    # the gradients after the temporal quotient, so that their buffers never meet
+    grad_v = centered_gradient(Field(kept, dt=s * w.dt))
+    gv = [Field(g, dt=s * w.dt, t_start=w.t_start) for g in grad_v.swapaxes(0, 1)]
+    del kept  # not read again
     grad_w = centered_gradient(Field(w.values[::s], dt=s * w.dt))
     grad_u = np.add(grad_w, grad_v, out=grad_w)  # grad_w is not read again
     gu = [Field(g, dt=s * w.dt, t_start=w.t_start) for g in grad_u.swapaxes(0, 1)]

@@ -243,8 +243,8 @@ def centered_gradient(f: Field) -> np.ndarray:
     return grad
 
 
-# Sites per block when building the windowed-range table of c1alpha_seminorm;
-# bounds the table's scratch arrays independently of the grid size.
+# Sites per block of the temporal quotient: bounds its series copy, its
+# bound table and its scratch independently of the grid size.
 _RANGE_BLOCK = 128
 
 
@@ -260,16 +260,13 @@ def _windowed_ranges(series: np.ndarray) -> np.ndarray:
     sites, n_t = series.shape
     levels = max(n_t.bit_length() - 1, 0)  # largest k with 2^k <= n_t
     table = np.empty((levels + 1, sites))
-    for c0 in range(0, sites, _RANGE_BLOCK):
-        cols = slice(c0, c0 + _RANGE_BLOCK)
-        block = series[cols]
-        mx = mn = block
-        for k in range(1, levels + 1):
-            h = 1 << (k - 1)
-            mx = np.maximum(mx[:, :-h], mx[:, h:])
-            mn = np.minimum(mn[:, :-h], mn[:, h:])
-            np.max(mx - mn, axis=1, out=table[k - 1, cols])
-        table[levels, cols] = np.ptp(block, axis=1)
+    mx = mn = series
+    for k in range(1, levels + 1):
+        h = 1 << (k - 1)
+        mx = np.maximum(mx[:, :-h], mx[:, h:])
+        mn = np.minimum(mn[:, :-h], mn[:, h:])
+        np.max(mx - mn, axis=1, out=table[k - 1])
+    table[levels] = np.ptp(series, axis=1)
     return table
 
 
@@ -283,8 +280,11 @@ def c1alpha_seminorm(w: Field, alpha: float) -> float:
     estimate.  The temporal part is the per-site sup of
     |w(t,x)-w(t',x)| / |t-t'|^((1+alpha)/2) over all time pairs.
 
-    Lags are visited in increasing order, and a site is skipped at a lag
-    when B / (lag*dt)^((1+alpha)/2) is at most the running sup, B being
+    The sites are scanned in blocks of _RANGE_BLOCK, widest range first,
+    so that the scan holds one block's series and scratch beside w, not
+    copies of the whole field.  Within a block lags are visited in
+    increasing order, and a site is skipped at a lag when
+    B / (lag*dt)^((1+alpha)/2) is at most the running sup, B being
     the site's largest max - min over any window of 2^k consecutive
     times, 2^k the smallest window spanning the lag (the whole record's
     range when no window does).  Both times of a pair lie in one such
@@ -295,8 +295,9 @@ def c1alpha_seminorm(w: Field, alpha: float) -> float:
     raises ValueError naming a NaN sample.
     """
     s = _row_stride(w.n_t, w.n_x, w.dt)
-    grad_w = centered_gradient(Field(w.values[::s], dt=s * w.dt))
-    return _max_component_theta(grad_w, s * w.dt, alpha) + _temporal_sup(w, alpha)
+    # the gradient is dropped before the temporal quotient takes its scratch
+    grad_part = _max_component_theta(centered_gradient(Field(w.values[::s], dt=s * w.dt)), s * w.dt, alpha)
+    return grad_part + _temporal_sup(w, alpha)
 
 
 def _max_component_theta(slabs: np.ndarray, dt: float, alpha: float) -> float:
@@ -308,37 +309,53 @@ def _max_component_theta(slabs: np.ndarray, dt: float, alpha: float) -> float:
 
 
 def _temporal_sup(w: Field, alpha: float) -> float:
-    """The temporal part of c1alpha_seminorm, pruned per site and lag."""
+    """The temporal part of c1alpha_seminorm, pruned per site and lag.
+
+    The sites are scanned _RANGE_BLOCK at a time, widest whole-record
+    range first, each block over every lag, with one running sup across
+    blocks.  Every m / denom of a block is one the whole-field scan could
+    compare, and a max over blocks of max / denom is the max over all
+    sites, so the result keeps its bits in any site order; the widest
+    sites first raise the sup early, so that it prunes the other blocks.
+    """
     expo = (1.0 + alpha) / 2.0
     n_t = w.n_t
-    # one contiguous time series per site, so that gathering sites is cheap
-    series = np.ascontiguousarray(w.values.reshape(n_t, -1).T)
-    n_sites = series.shape[0]
-    bounds = _windowed_ranges(series)
-    widest = bounds.max(axis=1).tolist()  # per row; NaN if any bound is NaN
-    last = bounds.shape[0] - 1  # the whole-record row
-    buf = np.empty(series.size)
+    flat = w.values.reshape(n_t, -1)
+    denoms = [(lag * w.dt) ** expo for lag in range(1, n_t)]
+    levels = max(n_t.bit_length() - 1, 0)  # the whole-record row of the bound table
+    # per lag, the row of the smallest window spanning it
+    rows = [min(lag.bit_length() - 1, levels) for lag in range(1, n_t)]
+    lag_rows, lag_denoms = np.array(rows, dtype=np.intp), np.array(denoms)
+    # one block's contiguous time series, then per lag its gathered sites and differences
+    series_buf = np.empty((min(_RANGE_BLOCK, flat.shape[1]), n_t))
+    buf = np.empty(series_buf.size)
+    order = np.argsort(-np.ptp(flat, axis=0), kind="stable")
     temporal = 0.0
-    for lag in range(1, n_t):
-        denom = (lag * w.dt) ** expo
-        # row lag.bit_length() - 1 holds the smallest window spanning lag
-        row = min(lag.bit_length() - 1, last)
-        # continue, not break: pow is not guaranteed monotone in lag
-        if widest[row] / denom <= temporal:
-            continue
-        sites = np.flatnonzero(~(bounds[row] / denom <= temporal))
-        k, span = sites.size, n_t - lag
-        if k * (span + n_t) <= buf.size:
-            # gather into the tail of buf, clear of the differences; "clip"
-            # (the indices are in range) lets take write out unbuffered
-            rows = np.take(
-                series, sites, axis=0, out=buf[buf.size - k * n_t :].reshape(k, n_t), mode="clip"
-            )
-        else:
-            rows, k = series, n_sites  # scanning every site needs no second copy
-        diff = np.subtract(rows[:, lag:], rows[:, :-lag], out=buf[: k * span].reshape(k, span))
-        m = float(np.abs(diff, out=diff).max())
-        if m != m:
-            raise _nan_error(w.values)
-        temporal = max(temporal, m / denom)
+    for c0 in range(0, flat.shape[1], _RANGE_BLOCK):
+        series = series_buf[: flat.shape[1] - c0]
+        series[...] = flat[:, order[c0 : c0 + _RANGE_BLOCK]].T  # gathering sites is cheap in this layout
+        bounds = _windowed_ranges(series)
+        widest = bounds.max(axis=1)  # per row; NaN if any bound is NaN
+        # the lags whose widest bound beats the sup at the block's start; the
+        # sup only grows, so every other lag would be skipped below
+        scan = np.flatnonzero(~(widest[lag_rows] / lag_denoms <= temporal)).tolist()
+        widest = widest.tolist()
+        for i in scan:
+            lag, denom, row = i + 1, denoms[i], rows[i]
+            # continue, not break: pow is not guaranteed monotone in lag
+            if widest[row] / denom <= temporal:
+                continue
+            sites = np.flatnonzero(~(bounds[row] / denom <= temporal))
+            k, span = sites.size, n_t - lag
+            if k * (span + n_t) <= buf.size:
+                # gather into the tail of buf, clear of the differences; "clip"
+                # (the indices are in range) lets take write out unbuffered
+                at = np.take(series, sites, axis=0, out=buf[buf.size - k * n_t :].reshape(k, n_t), mode="clip")
+            else:
+                at, k = series, series.shape[0]  # scanning every site needs no second copy
+            diff = np.subtract(at[:, lag:], at[:, :-lag], out=buf[: k * span].reshape(k, span))
+            m = float(np.abs(diff, out=diff).max())
+            if m != m:
+                raise _nan_error(w.values)
+            temporal = max(temporal, m / denom)
     return temporal

@@ -14,13 +14,16 @@ normalized to one, so the bound carries no nonlinearity constant).
 
 One kernel, _FluxMarch, does every step, and one loop, _march, drives
 it.  _march steps a batch of slabs shaped (B,) + grid with slice
-differences into buffers allocated once per march, in blocks of _BLOCK
-steps: grad v is evaluated once per row and averaged onto faces once per
-block, the states go into a ring, and the means, the finiteness check
-and the saves are taken once per block.  It returns the saved batch and
-the mean drift, not grad v: its readers evaluate it on their own rows.
-solve is its B = 1 call and contraction_test its B = 2 call with a hook
-that sums the dissipation.
+differences into buffers allocated once per march, in blocks capped at
+_BLOCK_BYTES per grid-sized component: grad v is evaluated once per row
+into one block buffer and averaged onto faces once per block, the states
+go into a ring, and the means, the finiteness check and the saves are
+taken once per block.  It returns the saved batch and the mean drift,
+not grad v: its readers evaluate it on their own rows.  solve is its
+B = 1 call and contraction_test its B = 2 call with a hook that sums the
+dissipation.  solve holds w at the saves and evaluates v only when it is
+read, whole or a block of saves at a time (Trajectory.v_rows), so a
+solve holds one field plus blocks of scratch.
 Every output equals, bit for bit, that of the np.roll formulation kept
 as the test oracle, at any block size.
 
@@ -49,9 +52,20 @@ GRAD_V_NEGATED = "grad_v_negated"
 
 JSource = Union[None, str, np.ndarray, Callable[[float], np.ndarray]]
 
-# steps per march block, small enough that a block's spectral slabs and
-# its ring of states stay in cache at the grids the lab runs
-_BLOCK = 256
+# A march block is capped in bytes: _BLOCK_BYTES of one grid-sized
+# component, so that its grad v slabs and its ring of states, a few such
+# components, stay in a 2 MB L2 cache (64 steps at d = 2, n_x = 32, where
+# 256-step blocks held 6.3 MB).  On small grids _BLOCK_STEPS caps it
+# instead (256 steps on the d = 1, n_x = 64 grid): by then the per-block
+# overhead is paid off, and at d = 2, n_x = 32 blocks of 16 steps or fewer
+# were measured slower than 256-step ones.
+_BLOCK_BYTES = 1 << 19
+_BLOCK_STEPS = 256
+
+
+def _block_steps(n_x: int, d: int) -> int:
+    """Steps per march block on the n_x^d grid, at least one."""
+    return max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * n_x**d)))
 
 
 @dataclass(frozen=True)
@@ -84,14 +98,33 @@ class SolverConfig:
 class Trajectory:
     """Recorded slabs of one solve, on the save-time grid.
 
-    w, v at shape (n_saves,) + grid.  mean_drift_rate is max_t |mean w(t)|
-    divided by t_end; the flux form keeps it at roundoff scale.
+    w has shape (n_saves,) + grid.  v, the sampled background at the same
+    saves and shape, is evaluated from the noise path on its first read
+    and then kept; v_rows evaluates a block of saves alone, bitwise the
+    same rows, so that a reader can stream v without holding it whole,
+    and a reader of w alone never evaluates it.  u = w + v is summed per
+    read.  mean_drift_rate is max_t |mean w(t)| divided by t_end; the flux
+    form keeps it at roundoff scale.
     """
 
     times: np.ndarray
     w: np.ndarray
-    v: np.ndarray
     mean_drift_rate: float
+    noise: NoisePath
+    save_rows: slice  # the noise rows of the saves
+
+    def v_rows(self, lo: int, hi: int, out=None) -> np.ndarray:
+        """v at the saves lo .. hi-1, shape (rows,) + grid, written into out when given."""
+        # slices, so the coefficients are read in place, not copied
+        coeffs = self.noise.coeffs[self.save_rows][lo:hi]
+        if out is None:
+            out = np.empty(coeffs.shape[:1] + self.w.shape[1:])
+        _spectral_slabs(self.noise.modes, coeffs, self.w.shape[-1], ("v",), out[:, None])
+        return out
+
+    @functools.cached_property
+    def v(self) -> np.ndarray:
+        return self.v_rows(0, len(self.times))
 
     @property
     def u(self) -> np.ndarray:
@@ -287,9 +320,9 @@ def _march(cfg: SolverConfig, noise: NoisePath, j_source, w0, save_every=1, hook
     every save_every-th step, the batch at those steps, shape
     (n_saves, B) + grid and starting with w0, and the fmax over steps and
     rows of |mean - mean of w0|.  Step i reads noise row i*ratio; grad v
-    (and div j for the grad_v_negated wiring) is evaluated _BLOCK rows at
-    a time, n_steps rows in all.  hook(i, g, f) is the divergence hook of
-    step i.
+    (and div j for the grad_v_negated wiring) is evaluated a block of
+    _block_steps rows at a time into one buffer, n_steps rows in all.
+    hook(i, g, f) is the divergence hook of step i.
     """
     ratio = _noise_alignment(cfg, noise)
     d, n_steps = cfg.d, cfg.n_steps
@@ -303,14 +336,17 @@ def _march(cfg: SolverConfig, noise: NoisePath, j_source, w0, save_every=1, hook
     # bitwise row.mean(), as advance_block takes the means of the states
     mean0 = np.add.reduce(w0.reshape(w0.shape[0], -1), -1) / w0[0].size
     drift = 0.0
-    march = _FluxMarch(d, cfg.n_x, cfg.nl, w0.shape[0], min(_BLOCK, n_steps))
+    block = min(_block_steps(cfg.n_x, d), n_steps)
+    march = _FluxMarch(d, cfg.n_x, cfg.nl, w0.shape[0], block)
     march.ring[0] = w0
-    for lo in range(0, n_steps, _BLOCK):
-        n = min(_BLOCK, n_steps - lo)
-        block = _spectral_slabs(noise.modes, noise.coeffs[lo * ratio : (lo + n) * ratio : ratio], cfg.n_x, parts)
-        gv = block[:, :d]
+    slabs = np.empty((block, len(parts)) + w0.shape[1:])
+    for lo in range(0, n_steps, block):
+        n = min(block, n_steps - lo)
+        rows = noise.coeffs[lo * ratio : (lo + n) * ratio : ratio]
+        _spectral_slabs(noise.modes, rows, cfg.n_x, parts, slabs[:n])
+        gv = slabs[:n, :d]
         _face_average(gv, d, gv)
-        means = march.advance_block(lo, n, cfg.dt, gv, block[:, d] if spectral_j else None, j_faces, hook)
+        means = march.advance_block(lo, n, cfg.dt, gv, slabs[:n, d] if spectral_j else None, j_faces, hook)
         # fmax skips NaN means, as a running max() over the steps would
         drift = max(drift, float(np.fmax.reduce(np.abs(means - mean0), None)))
         _keep(march.ring[1 : n + 1], lo + 1, save_every, saves)
@@ -335,14 +371,12 @@ def solve(
     """
     grid = (cfg.n_x,) * cfg.d
     save_rows, saves, drift = _march(cfg, noise, j_source, np.zeros((1,) + grid), save_every)
-    v = np.empty(saves.shape[:1] + grid)
-    # save_rows is a slice, so the coefficients are read in place, not copied
-    _spectral_slabs(noise.modes, noise.coeffs[save_rows], cfg.n_x, ("v",), v[:, None])
     return Trajectory(
         times=np.array(noise.times[save_rows]),
         w=saves[:, 0],
-        v=v,
         mean_drift_rate=drift / cfg.t_end,
+        noise=noise,
+        save_rows=save_rows,
     )
 
 

@@ -71,49 +71,80 @@ class Field:
         return self.t_start + self.dt * np.arange(self.n_t)
 
 
-def write_qspd(path, f: Field) -> None:
-    """Write a Field in the shared binary format.
+def _qspd_header(shape, dt: float, t_start: float) -> bytes:
+    """The QSPD header of a field of shape (n_t,) + grid.
 
     Layout: magic "QSPD", u32 version, int64 d, d int64 per-axis sizes,
-    int64 n_t, f64 dt, f64 t_start, then float64 little-endian payload,
-    time-major then row-major in space.
+    int64 n_t, f64 dt, f64 t_start; the float64 little-endian payload
+    follows, time-major then row-major in space.
     """
+    d = len(shape) - 1
+    return QSPD_MAGIC + struct.pack(f"<Iq{d}qqdd", QSPD_VERSION, d, *shape[1:], shape[0], dt, t_start)
+
+
+def _write_qspd_rows(path, shape, dt: float, t_start: float, blocks) -> None:
+    """Write a field of shape (n_t,) + grid from its blocks of time rows, in order.
+
+    The blocks must hold n_t rows in all; each is written as it arrives, so
+    a caller can produce the next block into the buffer of the last.
+    """
+    rows = 0
     with open(path, "wb") as fh:
-        fh.write(QSPD_MAGIC)
-        fh.write(struct.pack("<I", QSPD_VERSION))
-        fh.write(struct.pack("<q", f.d))
-        fh.write(struct.pack(f"<{f.d}q", *f.values.shape[1:]))
-        fh.write(struct.pack("<q", f.n_t))
-        fh.write(struct.pack("<dd", f.dt, f.t_start))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8"))
+        fh.write(_qspd_header(shape, dt, t_start))
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
+            rows += len(block)
+    if rows != shape[0]:
+        raise ValueError(f"QSPD file {path} got {rows} time rows, its header says {shape[0]}")
+
+
+def write_qspd(path, f: Field) -> None:
+    """Write a Field in the shared binary format (_qspd_header), as one block of rows."""
+    _write_qspd_rows(path, f.values.shape, f.dt, f.t_start, [f.values])
+
+
+def _read_qspd_header(fh):
+    """(shape, dt, t_start) of the QSPD file open at fh, shape (n_t,) + grid.
+
+    The payload size is checked against the file's, so that fh, left at
+    the payload, holds exactly the n_t rows that _read_qspd_rows reads.
+    """
+    magic = fh.read(4)
+    if magic != QSPD_MAGIC:
+        raise ValueError(f"not a QSPD file (magic {magic!r})")
+    (version,) = struct.unpack("<I", fh.read(4))
+    if version != QSPD_VERSION:
+        raise ValueError(f"unsupported QSPD version {version}")
+    (d,) = struct.unpack("<q", fh.read(8))
+    if not 1 <= d <= 8:
+        raise ValueError(f"implausible dimension {d}")
+    grid = struct.unpack(f"<{d}q", fh.read(8 * d))
+    (n_t,) = struct.unpack("<q", fh.read(8))
+    dt, t_start = struct.unpack("<dd", fh.read(16))
+    if min(grid) < 1:
+        raise ValueError(f"QSPD header axis sizes {grid} must all be at least 1")
+    if n_t < 0:
+        raise ValueError(f"QSPD header n_t is {n_t}; it must be at least 0")
+    count = n_t * int(np.prod(grid))
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size < 8 * count:
+        raise ValueError(f"truncated QSPD payload: expected {count} float64 values, found {size // 8}")
+    if size > 8 * count:
+        raise ValueError(f"QSPD payload of {count} float64 values is followed by {size - 8 * count} extra bytes")
+    return (n_t,) + grid, dt, t_start
+
+
+def _read_qspd_rows(fh, grid, n: int) -> np.ndarray:
+    """The next n time rows of the QSPD payload at fh, shape (n,) + grid."""
+    return np.fromfile(fh, dtype="<f8", count=n * int(np.prod(grid))).reshape((n,) + tuple(grid))
 
 
 def read_qspd(path) -> Field:
+    """Read a Field written by write_qspd, as one block of rows."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != QSPD_MAGIC:
-            raise ValueError(f"not a QSPD file (magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != QSPD_VERSION:
-            raise ValueError(f"unsupported QSPD version {version}")
-        (d,) = struct.unpack("<q", fh.read(8))
-        if not 1 <= d <= 8:
-            raise ValueError(f"implausible dimension {d}")
-        shape = struct.unpack(f"<{d}q", fh.read(8 * d))
-        (n_t,) = struct.unpack("<q", fh.read(8))
-        dt, t_start = struct.unpack("<dd", fh.read(16))
-        if min(shape) < 1:
-            raise ValueError(f"QSPD header axis sizes {shape} must all be at least 1")
-        if n_t < 0:
-            raise ValueError(f"QSPD header n_t is {n_t}; it must be at least 0")
-        count = n_t * int(np.prod(shape))
-        payload = np.fromfile(fh, dtype="<f8", count=count)
-        extra = os.fstat(fh.fileno()).st_size - fh.tell()
-    if payload.size != count:
-        raise ValueError(f"truncated QSPD payload: expected {count} float64 values, found {payload.size}")
-    if extra:
-        raise ValueError(f"QSPD payload of {count} float64 values is followed by {extra} extra bytes")
-    return Field(payload.reshape((n_t,) + shape), dt=dt, t_start=t_start)
+        shape, dt, t_start = _read_qspd_header(fh)
+        values = _read_qspd_rows(fh, shape[1:], shape[0])
+    return Field(values, dt=dt, t_start=t_start)
 
 
 # ---------------------------------------------------------------------------

@@ -595,22 +595,65 @@ def traced_peak(capsys, argv) -> int:
     return peak
 
 
+def test_cli_sample_noise_peak_memory(tmp_path, capsys):
+    # the noise coefficients (1.9 fields at kmax = 15) and one evaluated
+    # field at a time, plus the transform's row blocks: 3.28 fields measured
+    cfgp = write_cfg(tmp_path, **MEMORY_OVERRIDES)
+    peak = traced_peak(capsys, ["sample-noise", "--config", str(cfgp), "--out", str(tmp_path / "run")])
+    assert peak <= 3.5 * MEMORY_FIELD_BYTES
+
+
 def test_cli_solve_peak_memory(tmp_path, capsys):
-    # w, v and the noise coefficients; u goes into w's buffer, v reads the
-    # coefficients of the saves in place, and grad v is not kept
+    # the noise coefficients and w; the march holds its grad v and states a
+    # block of steps at a time, v is evaluated and written a block of saves
+    # at a time, and u goes into w's buffer: 3.27 fields measured
     cfgp = write_cfg(tmp_path, **MEMORY_OVERRIDES)
     peak = traced_peak(capsys, ["solve", "--config", str(cfgp), "--out", str(tmp_path / "run")])
-    assert peak <= 5.0 * MEMORY_FIELD_BYTES
+    assert peak <= 3.5 * MEMORY_FIELD_BYTES
 
 
 def test_cli_norms_peak_memory(tmp_path, capsys):
-    # gradients on 129 of the 1025 rows; v is dropped after its gradient,
-    # so the temporal quotient's series copy and buffer meet w alone
+    # w, one block of v and the 129 of its 1025 rows that the dyadic
+    # estimator reads, and one site block of the temporal quotient's
+    # scratch; the gradients come after the quotient: 1.78 fields measured
     cfgp = write_cfg(tmp_path, **MEMORY_OVERRIDES)
     out = tmp_path / "run"
     assert run_cli(capsys, ["solve", "--config", str(cfgp), "--out", str(out)])[0] == 0
     peak = traced_peak(capsys, ["norms", "--config", str(cfgp), "--out", str(out)])
-    assert peak <= 4.5 * MEMORY_FIELD_BYTES
+    assert peak <= 2.0 * MEMORY_FIELD_BYTES
+
+
+def _solve_and_norms_files(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, **SOLVE_OVERRIDES)
+    out = tmp_path / "run"  # one out_dir, which the config hash covers
+    for command in ("solve", "norms"):
+        assert run_cli(capsys, [command, "--config", str(cfgp), "--out", str(out)])[0] == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_cli_streamed_v_is_bitwise_independent_of_block_rows(tmp_path, capsys, monkeypatch):
+    # solve writes v.qspd and u.qspd, and norms reads v.qspd, a block of
+    # rows at a time; 17 saves on the n_x = 8 grid fit one default block
+    default = _solve_and_norms_files(tmp_path, capsys)
+    for rows in (1, 3, 16):
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", rows * 8 * 8)
+        assert _solve_and_norms_files(tmp_path, capsys) == default, rows
+
+
+def test_cli_norms_names_the_first_non_finite_v_row_across_blocks(tmp_path, capsys, monkeypatch):
+    cfgp = write_cfg(tmp_path, **SOLVE_OVERRIDES)
+    out = tmp_path / "run"
+    assert run_cli(capsys, ["solve", "--config", str(cfgp), "--out", str(out)])[0] == 0
+    f = read_qspd(out / "v.qspd")
+    vals = f.values.copy()
+    vals[10, 2] = np.inf
+    vals[13, 1] = np.nan  # a later block: the earlier sample is named
+    write_qspd(out / "v.qspd", Field(vals, dt=f.dt, t_start=f.t_start))
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 3 * 8 * 8)  # rows 9..11 are the fourth block
+    rc, err = run_cli(capsys, ["norms", "--config", str(cfgp), "--out", str(out)])
+    assert (rc, err["error"]["type"]) == (1, "validation")
+    assert err["error"]["messages"] == [f"norms: {out / 'v.qspd'}: non-finite value at time index 10, node (2,)"]
+    assert not (out / "norms.csv").exists()
 
 
 def test_cli_mc_deterministic_and_stable(tmp_path, capsys):

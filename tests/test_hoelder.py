@@ -728,3 +728,90 @@ def test_c1alpha_with_the_row_stride_gradient_keeps_the_full_gradient_value():
         assert kept.tobytes() == full[::s].tobytes()
         want = unpruned_c1alpha(f, full, 0.3)  # the dyadic part on every row
         assert _same_bits(c1alpha_seminorm(f, 0.3), want)
+
+
+def whole_field_temporal_sup(w, alpha):
+    """The temporal quotient as one scan over every site: the test oracle of the blocked scan.
+
+    One contiguous series copy of the whole field, one bound table and one
+    scratch buffer of the same size, and the lag loop over all sites at once.
+    """
+    expo = (1.0 + alpha) / 2.0
+    n_t = w.n_t
+    series = np.ascontiguousarray(w.values.reshape(n_t, -1).T)
+    n_sites = series.shape[0]
+    levels = max(n_t.bit_length() - 1, 0)
+    bounds = np.empty((levels + 1, n_sites))
+    mx = mn = series
+    for k in range(1, levels + 1):
+        h = 1 << (k - 1)
+        mx = np.maximum(mx[:, :-h], mx[:, h:])
+        mn = np.minimum(mn[:, :-h], mn[:, h:])
+        np.max(mx - mn, axis=1, out=bounds[k - 1])
+    bounds[levels] = np.ptp(series, axis=1)
+    widest = bounds.max(axis=1).tolist()
+    buf = np.empty(series.size)
+    temporal = 0.0
+    for lag in range(1, n_t):
+        denom = (lag * w.dt) ** expo
+        row = min(lag.bit_length() - 1, levels)
+        if widest[row] / denom <= temporal:
+            continue
+        sites = np.flatnonzero(~(bounds[row] / denom <= temporal))
+        k, span = sites.size, n_t - lag
+        if k * (span + n_t) <= buf.size:
+            rows = np.take(series, sites, axis=0, out=buf[buf.size - k * n_t :].reshape(k, n_t), mode="clip")
+        else:
+            rows, k = series, n_sites
+        diff = np.subtract(rows[:, lag:], rows[:, :-lag], out=buf[: k * span].reshape(k, span))
+        m = float(np.abs(diff, out=diff).max())
+        if m != m:
+            raise hoelder._nan_error(w.values)
+        temporal = max(temporal, m / denom)
+    return temporal
+
+
+# (d, n_x): 1, 127, 128, 129 and 1024 sites, and d = 2, 3 grids on and across block edges
+_BLOCK_GRIDS = [(1, 1), (2, 1), (3, 1), (1, 127), (1, 128), (1, 129), (1, 1024), (2, 32), (2, 12), (3, 5), (3, 6)]
+
+
+def _blocked_oracle_fields(rng, d, n_x, n_t):
+    shape = (n_t,) + (n_x,) * d
+    yield "random", rng.standard_normal(shape)
+    trend = np.sin(np.linspace(0.0, 6.0, n_t)).reshape((n_t,) + (1,) * d)
+    yield "trend", 5.0 * trend + 0.1 * rng.standard_normal(shape)
+    hot = 1e-3 * rng.standard_normal(shape)
+    hot.reshape(n_t, -1)[:, -1] += np.linspace(0.0, 5.0, n_t)  # the hot site sits in the last block
+    yield "hot_last", hot
+    yield "constant", np.full(shape, -1.5)
+    yield "tied", rng.integers(0, 3, shape).astype(float)  # equal maxima in every block
+
+
+# the long record runs on the d = 1 grids and the d = 2 grid of 1024 sites
+_BLOCK_CASES = [
+    (d, n_x, n_t) for d, n_x in _BLOCK_GRIDS for n_t in (1, 2, 3, 17, 1025) if n_t < 1025 or n_x in (1, 127, 128, 129, 1024, 32)
+]
+
+
+@pytest.mark.parametrize("d, n_x, n_t", _BLOCK_CASES)
+def test_blocked_temporal_sup_matches_whole_field_oracle(d, n_x, n_t):
+    rng = np.random.default_rng(1000 * d + n_x + n_t)
+    for kind, vals in _blocked_oracle_fields(rng, d, n_x, n_t):
+        f = Field(vals, dt=1 / 1024)
+        for alpha in (0.3, 0.7):
+            got, want = hoelder._temporal_sup(f, alpha), whole_field_temporal_sup(f, alpha)
+            assert got.hex() == want.hex(), (kind, alpha)
+
+
+@pytest.mark.parametrize("d, n_x", [(1, 129), (2, 32), (3, 6)])
+def test_blocked_temporal_sup_nan_raises_the_oracle_text(d, n_x):
+    rng = np.random.default_rng(60 + d)
+    for site in (0, n_x**d - 1):
+        vals = rng.standard_normal((17,) + (n_x,) * d)
+        vals.reshape(17, -1)[9, site] = np.nan
+        f = Field(vals, dt=1 / 64)
+        with pytest.raises(ValueError) as want:
+            whole_field_temporal_sup(f, 0.3)
+        with pytest.raises(ValueError) as got:
+            hoelder._temporal_sup(f, 0.3)
+        assert str(got.value) == str(want.value)

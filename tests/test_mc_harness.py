@@ -4,7 +4,7 @@ against known laws, and the tail estimator on synthetic samples."""
 import numpy as np
 import pytest
 
-from qspde import mc_harness
+from qspde import mc_harness, solver
 from qspde.config import ExperimentConfig
 from qspde.mc_harness import (
     CampaignFailure,
@@ -14,7 +14,7 @@ from qspde.mc_harness import (
     run_campaign,
     tail_fit,
 )
-from qspde.spectral_noise import CovarianceSpec
+from qspde.spectral_noise import CovarianceSpec, _spectral_slabs
 
 
 def noise_cfg(**kw):
@@ -79,6 +79,21 @@ def test_campaign_noise_only_records():
     assert all(r.grad_u_alpha is None and r.w_c1alpha is None for r in stats.records)
     assert set(stats.moments) == {"grad_v_alpha"}
     assert stats.tail is None  # below the sample-count threshold
+
+
+def test_campaign_record_evaluates_no_v(monkeypatch):
+    # the record reads solve(...).w alone, so v is never evaluated
+    parts = []
+
+    def recording(modes, coeffs, n_x, parts_, out=None):
+        parts.extend(parts_)
+        return _spectral_slabs(modes, coeffs, n_x, parts_, out)
+
+    for mod in (mc_harness, solver):
+        monkeypatch.setattr(mod, "_spectral_slabs", recording)
+    rec = mc_harness._campaign_record(solve_cfg(), 0)
+    assert rec.w_c1alpha is not None
+    assert set(parts) == {0, "div_j"}  # grad v for the record and the march, div j for the march
 
 
 def test_campaign_solve_mode_records():

@@ -381,11 +381,16 @@ def test_solve_evaluates_each_grad_v_row_once(monkeypatch, d, save_every, block)
         return out
 
     monkeypatch.setattr(solver, "_spectral_slabs", counting)
-    monkeypatch.setattr(solver, "_BLOCK", block)
+    monkeypatch.setattr(solver, "_BLOCK_BYTES", block_bytes(block, n_x, d))
     solve(cfg, path, j_source=GRAD_V_NEGATED, save_every=save_every)
     assert sum(len(r) for r in rows) == n_steps
     # step i read row i, bitwise as one evaluation of the path gives it
     assert np.concatenate(rows).tobytes() == once.tobytes()
+
+
+def block_bytes(steps, n_x, d):
+    """The _BLOCK_BYTES that makes march blocks of the given steps on the n_x^d grid."""
+    return steps * 8 * n_x**d
 
 
 def _solve_block_cases():
@@ -404,14 +409,14 @@ def test_solve_is_bitwise_independent_of_block_size(monkeypatch, d, n_steps, sav
     j = np.random.default_rng(8).standard_normal((d,) + (n_x,) * d)
     j_source = {"zero": None, "grad_v_negated": GRAD_V_NEGATED, "callable": lambda t: j * np.cos(9.0 * t)}
 
-    def run(block):
-        monkeypatch.setattr(solver, "_BLOCK", block)
+    def run(nbytes):
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", nbytes)
         traj = solve(cfg, path, j_source[j_kind], save_every=save_every)
         return [traj.w.tobytes(), traj.v.tobytes(), repr(traj.mean_drift_rate)]
 
-    default = run(solver._BLOCK)
+    default = run(solver._BLOCK_BYTES)
     for block in (1, 3, 7):
-        assert run(block) == default, block
+        assert run(block_bytes(block, n_x, d)) == default, block
 
 
 @pytest.mark.parametrize("d, n_steps", [(1, 600), (2, 84)])
@@ -420,14 +425,14 @@ def test_contraction_is_bitwise_independent_of_block_size(monkeypatch, d, n_step
     path = uniform_path(d, 2.0 if d == 1 else 3.0, 3, dt, n_steps, seed=44)
     cfg = SolverConfig(d=d, n_x=8, dt=dt, t_end=n_steps * dt, nl=TANH)
 
-    def run(block):
-        monkeypatch.setattr(solver, "_BLOCK", block)
+    def run(nbytes):
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", nbytes)
         rep = contraction_test(cfg, path, GRAD_V_NEGATED, epsilon=1e-3, seed=5)
         return [rep.distances.tobytes(), rep.dissipation.tobytes(), repr(rep.mean_drift_rate)]
 
-    default = run(solver._BLOCK)
+    default = run(solver._BLOCK_BYTES)
     for block in (1, 3, 7):
-        assert run(block) == default, block
+        assert run(block_bytes(block, 8, d)) == default, block
 
 
 def test_mean_conserved_under_tanh_flux():
@@ -585,8 +590,8 @@ def test_blow_up_mid_block_names_the_step_by_step_location(monkeypatch, batch):
     copy = ", copy 1" if batch == 2 else ""
     expected = f"solver produced a non-finite value at t={37 * dt:.9g}{copy}, node (5,)"
 
-    def message(block):
-        monkeypatch.setattr(solver, "_BLOCK", block)
+    def message(nbytes):
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", nbytes)
         cfg = SolverConfig(d=1, n_x=16, dt=dt, t_end=n_steps * dt, nl=_blowing_up_at(37, (5,)))
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
             if batch == 1:
@@ -595,8 +600,8 @@ def test_blow_up_mid_block_names_the_step_by_step_location(monkeypatch, batch):
                 contraction_test(cfg, path, GRAD_V_NEGATED, epsilon=1e-3, seed=1)
         return str(exc.value)
 
-    default = solver._BLOCK
-    assert [message(block) for block in (1, 7, default)] == [expected] * 3
+    default = solver._BLOCK_BYTES
+    assert [message(nbytes) for nbytes in (block_bytes(1, 16, 1), block_bytes(7, 16, 1), default)] == [expected] * 3
 
 
 def test_non_finite_step_count_rejected():

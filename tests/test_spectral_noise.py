@@ -805,6 +805,29 @@ def test_qspd_round_trip_is_byte_identical(tmp_path):
             assert q.read_bytes() == p.read_bytes()
 
 
+def test_qspd_rows_written_in_blocks_equal_write_qspd(tmp_path):
+    rng = np.random.default_rng(10)
+    for d in (1, 2):
+        vals = rng.standard_normal((19,) + (4,) * d)
+        vals.flat[5] = -0.0
+        f = Field(vals, dt=0.125, t_start=0.5)
+        write_qspd(tmp_path / "whole.qspd", f)
+        whole = (tmp_path / "whole.qspd").read_bytes()
+        for rows in (1, 7, f.n_t):
+            p = tmp_path / f"rows{rows}.qspd"
+            blocks = (vals[lo : lo + rows] for lo in range(0, f.n_t, rows))
+            spectral_noise._write_qspd_rows(p, vals.shape, f.dt, f.t_start, blocks)
+            assert p.read_bytes() == whole == _qspd_bytes(f), (d, rows)
+            g = read_qspd(p)
+            assert g.values.tobytes() == vals.tobytes() and (g.dt, g.t_start) == (f.dt, f.t_start)
+
+
+def test_qspd_rows_refuse_a_wrong_row_count(tmp_path):
+    vals = np.zeros((4, 3))
+    with pytest.raises(ValueError, match="got 3 time rows, its header says 4"):
+        spectral_noise._write_qspd_rows(tmp_path / "f.qspd", vals.shape, 0.5, 0.0, [vals[:3]])
+
+
 @pytest.mark.parametrize("cut", [1, 8, 13])
 def test_qspd_rejects_truncated_payload(tmp_path, cut):
     f = Field(np.arange(24.0).reshape(3, 2, 2, 2)[..., 0], dt=0.5)
