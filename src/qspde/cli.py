@@ -37,6 +37,7 @@ from .solver import _keep, solve
 from .spectral_noise import (
     CovarianceSpec,
     Field,
+    _block_rows,
     _read_qspd_header,
     _read_qspd_rows,
     _write_qspd_rows,
@@ -44,9 +45,6 @@ from .spectral_noise import (
     read_qspd,
     write_qspd,
 )
-
-# bytes of a block of time rows that solve and norms stream through v.qspd
-_BLOCK_BYTES = 1 << 20
 
 
 class _CliError(Exception):
@@ -129,11 +127,6 @@ def _write_csv(cfg: ExperimentConfig, name: str, columns, rows) -> str:
     return path
 
 
-def _block_rows(grid) -> int:
-    """Time rows per _BLOCK_BYTES block of a field on grid, at least one."""
-    return max(1, _BLOCK_BYTES // (8 * int(np.prod(grid))))
-
-
 def _cmd_sample_noise(cfg: ExperimentConfig, args) -> dict:
     path = _noise_path(cfg, 0)
     names = [f"{name}.qspd" for name in ["v"] + [f"grad_v_{a}" for a in range(cfg.d)]]
@@ -157,7 +150,7 @@ def _cmd_solve(cfg: ExperimentConfig, args) -> dict:
     written = [_out(cfg, name) for name in names]
     w = traj.w
     write_qspd(written[1], Field(w, dt=dt_save))
-    rows = _block_rows(w.shape[1:])
+    rows = _block_rows(8 * w[0].size, len(w))
     buf = np.empty((rows,) + w.shape[1:])
 
     def v_blocks():
@@ -226,7 +219,7 @@ def _cmd_norms(cfg: ExperimentConfig, args) -> dict:
         s = _row_stride(w.n_t, w.n_x, w.dt)
         grid = w.values.shape[1:]
         kept = np.empty(((w.n_t - 1) // s + 1,) + grid)
-        rows = _block_rows(grid)
+        rows = _block_rows(8 * w.values[0].size, w.n_t)
         for lo in range(0, w.n_t, rows):
             block = _read_qspd_rows(vfh, grid, min(rows, w.n_t - lo))
             _require_finite(vp, block, lo)

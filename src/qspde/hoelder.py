@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .config import _cell
-from .spectral_noise import Field
+from .spectral_noise import Field, _block_rows
 
 # Lower equivalence constant in naive <= C2 * theta, calibrated as the
 # empirical max ratio over a 200-field random suite (d in {1,2}, dyadic
@@ -27,6 +27,9 @@ from .spectral_noise import Field
 # single valid level (the constant grows when intermediate dyadic scales
 # are missing); shipped value rounds the margined figure up.
 C2_EQUIVALENCE = 8.80
+
+# the largest sample count seminorm_naive scans: its cost is quadratic in it
+_NAIVE_BUDGET = 20000
 
 
 @dataclass
@@ -59,21 +62,25 @@ class HoelderReport:
         return "alpha,naive,theta,t,x,t_prime,x_prime"
 
 
-def seminorm_naive(f: Field, alpha: float, budget: int = 20000) -> HoelderReport:
+def seminorm_naive(f: Field, alpha: float) -> HoelderReport:
     """Exhaustive parabolic Hoelder quotient over all grid-point pairs.
 
-    Quadratic in the sample count, so refuses fields above the budget.
-    The witness is the first pair in scan order (flat time-major index
-    pairs i < j, nodes row-major as np.indices lists them) attaining the
-    maximum.
+    Quadratic in the sample count, so refuses fields above _NAIVE_BUDGET
+    samples; refuses a dt that is not finite and > 0 and a t_start that is
+    not finite, which give no distances.  The witness is the first pair in
+    scan order (flat time-major index pairs i < j, nodes row-major as
+    np.indices lists them) attaining the maximum.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    _check_dt(f.dt)
+    if not math.isfinite(f.t_start):
+        raise ValueError(f"t_start must be finite, got {f.t_start}")
     vals = f.values.reshape(f.n_t, -1).ravel()
     n = vals.size
-    if n > budget:
+    if n > _NAIVE_BUDGET:
         raise ValueError(
-            f"{n} samples exceed the naive budget {budget}; "
+            f"{n} samples exceed the naive budget {_NAIVE_BUDGET}; "
             "use seminorm_dyadic for grids this large"
         )
     pos = np.indices((f.n_x,) * f.d).reshape(f.d, -1).T * f.dx  # (n_x^d, d), row-major
@@ -99,12 +106,18 @@ def seminorm_naive(f: Field, alpha: float, budget: int = 20000) -> HoelderReport
     return HoelderReport(alpha=alpha, naive=best, theta=None, pair=best_pair)
 
 
+def _check_dt(dt: float) -> None:
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
 def _dyadic_levels(n_x: int, dt: float):
-    """Valid dyadic scales: R = 2^-n with R*n_x and R^2/dt both integral."""
+    """Valid dyadic scales: R = 2^-n with R*n_x and R^2/dt both integral; dt must be finite and > 0."""
+    _check_dt(dt)
     levels = []
     n = 1
     while True:
@@ -125,7 +138,8 @@ def _row_stride(n_t: int, n_x: int, dt: float) -> int:
     s = gcd(st, n_t - 1), st the time stride of the finest valid scale: a
     power of two that divides every scale's stride, so the estimate on
     Field(values[::s], dt=s*dt, t_start) has the same theta bits, pair and
-    level_R.  1 when the estimator refuses the grid, so it refuses it alike.
+    level_R.  1 when the estimator refuses the grid, so it refuses it alike;
+    a dt that is not finite and > 0 raises the estimator's ValueError.
     """
     levels = _dyadic_levels(n_x, dt)
     if n_t < 2 or not (levels and _is_pow2(n_x) and _is_pow2(n_t - 1)):
@@ -243,11 +257,6 @@ def centered_gradient(f: Field) -> np.ndarray:
     return grad
 
 
-# Sites per block of the temporal quotient: bounds its series copy, its
-# bound table and its scratch independently of the grid size.
-_RANGE_BLOCK = 128
-
-
 def _windowed_ranges(series: np.ndarray) -> np.ndarray:
     """Per-site bound table for the temporal quotient.
 
@@ -280,9 +289,9 @@ def c1alpha_seminorm(w: Field, alpha: float) -> float:
     estimate.  The temporal part is the per-site sup of
     |w(t,x)-w(t',x)| / |t-t'|^((1+alpha)/2) over all time pairs.
 
-    The sites are scanned in blocks of _RANGE_BLOCK, widest range first,
-    so that the scan holds one block's series and scratch beside w, not
-    copies of the whole field.  Within a block lags are visited in
+    The sites are scanned in blocks, one site's series per _block_rows row,
+    widest range first, so that the scan holds one block's series and
+    scratch beside w, not copies of the whole field.  Within a block lags are visited in
     increasing order, and a site is skipped at a lag when
     B / (lag*dt)^((1+alpha)/2) is at most the running sup, B being
     the site's largest max - min over any window of 2^k consecutive
@@ -311,8 +320,8 @@ def _max_component_theta(slabs: np.ndarray, dt: float, alpha: float) -> float:
 def _temporal_sup(w: Field, alpha: float) -> float:
     """The temporal part of c1alpha_seminorm, pruned per site and lag.
 
-    The sites are scanned _RANGE_BLOCK at a time, widest whole-record
-    range first, each block over every lag, with one running sup across
+    The sites are scanned a _block_rows block at a time, widest
+    whole-record range first, each block over every lag, with one running sup across
     blocks.  Every m / denom of a block is one the whole-field scan could
     compare, and a max over blocks of max / denom is the max over all
     sites, so the result keeps its bits in any site order; the widest
@@ -327,13 +336,14 @@ def _temporal_sup(w: Field, alpha: float) -> float:
     rows = [min(lag.bit_length() - 1, levels) for lag in range(1, n_t)]
     lag_rows, lag_denoms = np.array(rows, dtype=np.intp), np.array(denoms)
     # one block's contiguous time series, then per lag its gathered sites and differences
-    series_buf = np.empty((min(_RANGE_BLOCK, flat.shape[1]), n_t))
+    block = _block_rows(8 * n_t, flat.shape[1])
+    series_buf = np.empty((block, n_t))
     buf = np.empty(series_buf.size)
     order = np.argsort(-np.ptp(flat, axis=0), kind="stable")
     temporal = 0.0
-    for c0 in range(0, flat.shape[1], _RANGE_BLOCK):
+    for c0 in range(0, flat.shape[1], block):
         series = series_buf[: flat.shape[1] - c0]
-        series[...] = flat[:, order[c0 : c0 + _RANGE_BLOCK]].T  # gathering sites is cheap in this layout
+        series[...] = flat[:, order[c0 : c0 + block]].T  # gathering sites is cheap in this layout
         bounds = _windowed_ranges(series)
         widest = bounds.max(axis=1)  # per row; NaN if any bound is NaN
         # the lags whose widest bound beats the sup at the block's start; the

@@ -339,7 +339,9 @@ def increment_scaling_fit(
     kmax pass spatial_lags.  The second-moment slopes target s-d in space
     and (s-d)/2 in time; standard errors propagate the per-lag MC spread
     through the least-squares fit.  Requires s - d < 2 so the spatial
-    exponent is resolvable against the grid.  Needs N >= 2 and 0 <= j < d.
+    exponent is resolvable against the grid.  Needs N >= 2, 0 <= j < d,
+    at least two distinct spatial lags and at least two temporal lags,
+    each given once.
     """
     if not spec.s - spec.d < 2:
         raise ValueError("spatial exponent out of resolvable range; need s - d < 2")
@@ -360,6 +362,11 @@ def increment_scaling_fit(
     temporal_lags = np.asarray(temporal_lags, dtype=np.float64)
     if not np.all((temporal_lags > 0) & (temporal_lags < 1)):
         raise ValueError("temporal lags must lie in (0, 1)")
+    # sets, not np.unique, whose first call costs about 1.6 MB of resident memory
+    if len(set(spatial_lags.flat)) < 2:
+        raise ValueError(f"spatial lags {spatial_lags.tolist()}: a slope needs at least two distinct lags")
+    if len(set(temporal_lags.flat)) < max(2, temporal_lags.size):
+        raise ValueError(f"temporal lags {temporal_lags.tolist()}: a slope needs at least two lags, each given once")
 
     times = np.concatenate([np.sort(1.0 - temporal_lags), [1.0]])
     modes = make_mode_set(spec.d, spec.kmax)
@@ -510,6 +517,8 @@ class GapStudy:
 
 
 GAP_LEVELS = ((64, 16), (128, 256), (256, 4096))
+_GAP_W_TOL = 0.25
+_GAP_V_FACTOR = 1.5
 
 
 def regularity_gap_study(
@@ -520,8 +529,6 @@ def regularity_gap_study(
     alpha: float = 0.4,
     lam: float = 0.5,
     levels=GAP_LEVELS,
-    w_tol: float = 0.25,
-    v_factor: float = 1.5,
 ) -> GapStudy:
     """Refine solver and observation grids against one noise realization.
 
@@ -531,9 +538,9 @@ def regularity_gap_study(
     smooth perturbed flux, the solution difference w = u - v is recorded
     on n_save uniform intervals, and the composite seminorm of w and of v
     is estimated from those slabs.  PASS: the w estimate moves by less
-    than w_tol between the two finest levels while the v estimate grows
-    by at least v_factor per level (its temporal quotient diverges under
-    time refinement; w's stays put).
+    than _GAP_W_TOL between the two finest levels while the v estimate
+    grows by at least _GAP_V_FACTOR per level (its temporal quotient
+    diverges under time refinement; w's stays put).
     """
     spec = CovarianceSpec(1, s, kmax)
     nl = builtin("tanh_perturbed", lam)
@@ -548,7 +555,7 @@ def regularity_gap_study(
     v_growth = tuple(
         out[i + 1].theta_v / out[i].theta_v for i in range(len(out) - 1)
     )
-    passed = bool(w_rel < w_tol and all(g >= v_factor for g in v_growth))
+    passed = bool(w_rel < _GAP_W_TOL and all(g >= _GAP_V_FACTOR for g in v_growth))
     return GapStudy(
         levels=out,
         w_rel_change=float(w_rel),

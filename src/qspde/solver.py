@@ -14,11 +14,11 @@ normalized to one, so the bound carries no nonlinearity constant).
 
 One kernel, _FluxMarch, does every step, and one loop, _march, drives
 it.  _march steps a batch of slabs shaped (B,) + grid with slice
-differences into buffers allocated once per march, in blocks capped at
-_BLOCK_BYTES per grid-sized component: grad v is evaluated once per row
-into one block buffer and averaged onto faces once per block, the states
-go into a ring, and the means, the finiteness check and the saves are
-taken once per block.  It returns the saved batch and the mean drift,
+differences into buffers allocated once per march, in blocks of steps,
+one grid-sized component per _block_rows row and at most _BLOCK_STEPS:
+grad v is evaluated once per row into one block buffer and averaged onto
+faces once per block, the states go into a ring, and the means, the
+finiteness check and the saves are taken once per block.  It returns the saved batch and the mean drift,
 not grad v: its readers evaluate it on their own rows.  solve is its
 B = 1 call and contraction_test its B = 2 call with a hook that sums the
 dissipation.  solve holds w at the saves and evaluates v only when it is
@@ -41,7 +41,7 @@ import numpy as np
 
 from .config import _n_steps, check
 from .nonlinearity import Nonlinearity
-from .spectral_noise import NoisePath, _spectral_slabs
+from .spectral_noise import NoisePath, _block_rows, _spectral_slabs
 
 # j_source sentinel: wire j = -grad v, so the full right-hand side of the
 # reconstructed equation matches the linear one driving v.  The divergence
@@ -52,20 +52,15 @@ GRAD_V_NEGATED = "grad_v_negated"
 
 JSource = Union[None, str, np.ndarray, Callable[[float], np.ndarray]]
 
-# A march block is capped in bytes: _BLOCK_BYTES of one grid-sized
-# component, so that its grad v slabs and its ring of states, a few such
-# components, stay in a 2 MB L2 cache (64 steps at d = 2, n_x = 32, where
-# 256-step blocks held 6.3 MB).  On small grids _BLOCK_STEPS caps it
+# A march block is capped in bytes by the one block budget, a row being one
+# grid-sized component, so that its grad v slabs and its ring of states, a
+# few such components, stay in a 2 MB L2 cache (64 steps at d = 2, n_x = 32,
+# where 256-step blocks held 6.3 MB).  On small grids _BLOCK_STEPS caps it
 # instead (256 steps on the d = 1, n_x = 64 grid): by then the per-block
-# overhead is paid off, and at d = 2, n_x = 32 blocks of 16 steps or fewer
-# were measured slower than 256-step ones.
-_BLOCK_BYTES = 1 << 19
+# overhead is paid off and longer blocks only cost memory, and at d = 2,
+# n_x = 32 blocks of 16 steps or fewer were measured slower than 256-step
+# ones.
 _BLOCK_STEPS = 256
-
-
-def _block_steps(n_x: int, d: int) -> int:
-    """Steps per march block on the n_x^d grid, at least one."""
-    return max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (8 * n_x**d)))
 
 
 @dataclass(frozen=True)
@@ -321,7 +316,7 @@ def _march(cfg: SolverConfig, noise: NoisePath, j_source, w0, save_every=1, hook
     (n_saves, B) + grid and starting with w0, and the fmax over steps and
     rows of |mean - mean of w0|.  Step i reads noise row i*ratio; grad v
     (and div j for the grad_v_negated wiring) is evaluated a block of
-    _block_steps rows at a time into one buffer, n_steps rows in all.
+    rows at a time into one buffer, n_steps rows in all.
     hook(i, g, f) is the divergence hook of step i.
     """
     ratio = _noise_alignment(cfg, noise)
@@ -336,7 +331,7 @@ def _march(cfg: SolverConfig, noise: NoisePath, j_source, w0, save_every=1, hook
     # bitwise row.mean(), as advance_block takes the means of the states
     mean0 = np.add.reduce(w0.reshape(w0.shape[0], -1), -1) / w0[0].size
     drift = 0.0
-    block = min(_block_steps(cfg.n_x, d), n_steps)
+    block = _block_rows(8 * cfg.n_x**d, min(_BLOCK_STEPS, n_steps))
     march = _FluxMarch(d, cfg.n_x, cfg.nl, w0.shape[0], block)
     march.ring[0] = w0
     slabs = np.empty((block, len(parts)) + w0.shape[1:])

@@ -8,6 +8,12 @@ which modes decay deterministically.  Advancing a mode between two grid
 times uses the exact Gaussian transition law, so grid values have the
 exact law of the continuum object regardless of step size.  The
 transitions of every grid run as one numpy recursion over the rows.
+
+Every blocked loop of the package takes its rows per block from
+_block_rows, under the one budget _BLOCK_BYTES: the sampler's draw groups,
+the spectral row blocks, the march's step blocks (solver), the QSPD
+streams of the solve and norms commands (cli) and the site blocks of the
+temporal quotient (hoelder).  No output depends on the budget.
 """
 
 from __future__ import annotations
@@ -23,6 +29,13 @@ from .config import check
 
 QSPD_MAGIC = b"QSPD"
 QSPD_VERSION = 1
+
+_BLOCK_BYTES = 1 << 19
+
+
+def _block_rows(row_bytes: int, n: int) -> int:
+    """Rows of row_bytes each per block of at most _BLOCK_BYTES, at least one and at most n."""
+    return max(1, min(n, _BLOCK_BYTES // row_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +353,6 @@ class NoisePath:
         return float(steps[0]) if steps.size else 0.0
 
 
-# bytes of normals drawn at a time: the whole streams of one group of modes
-_DRAW_BYTES = 1 << 18
-
-
 def sample_mode_states(
     spec: CovarianceSpec,
     times,
@@ -362,12 +371,12 @@ def sample_mode_states(
     grid time (the first pair drives the transition from rest into
     times[0]).  The index is the mode's position in the order for this
     kmax, so changing kmax changes every mode's draws.  Whole streams are
-    drawn a group of modes at a time, at most _DRAW_BYTES of normals (one
-    stream if a single stream is larger), and written as standard complex
-    Gaussians into the coefficients; one loop over the rows then runs the
-    exact recursion row = decay * previous row + sqrt(var) * row for every
-    mode at once.  The moments are computed once on a uniform grid inside
-    [0, 1] and once per step on any other grid.
+    drawn a group of modes at a time, one stream per _block_rows row, and
+    written as standard complex Gaussians into the coefficients; one loop
+    over the rows then runs the exact recursion row = decay * previous
+    row + sqrt(var) * row for every mode at once.  The moments are
+    computed once on a uniform grid inside [0, 1] and once per step on
+    any other grid.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0:
@@ -386,8 +395,8 @@ def sample_mode_states(
     coeffs = np.empty((times.size, len(modes)), dtype=np.complex128)
     upper = coeffs[:, h:]
 
-    group = max(1, _DRAW_BYTES // (16 * times.size))
-    normals = np.empty((min(group, ksq.size), times.size, 2))
+    group = _block_rows(16 * times.size, ksq.size)
+    normals = np.empty((group, times.size, 2))
     for lo in range(0, ksq.size, group):
         z = normals[: ksq.size - lo]
         for j, out in enumerate(z, start=h + lo):
@@ -436,9 +445,6 @@ def _to_complex(z, ksq, out):
 # field evaluation and the closed-form covariance
 
 
-_FFT_BLOCK_BYTES = 1 << 20  # size of each complex row block that _spectral_slabs transforms
-
-
 def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, parts, out=None) -> np.ndarray:
     """Inverse-FFT evaluation of sum_k w_k X_k(t) e^{ikx} on the n_x grid.
 
@@ -465,7 +471,7 @@ def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, parts, out=Non
     corners = [tuple(zip(*c)) for c in itertools.product(halves, repeat=d)]
     weights = [None if p == "v" else (modes.ksq.astype(complex) if p == "div_j" else 1j * modes.k[:, p]) for p in parts]
     # at most half the rows, rounded up: the two blocks together hold about one field
-    rows = max(1, min((n_t + 1) // 2, _FFT_BLOCK_BYTES // (16 * n_x**d)))
+    rows = _block_rows(16 * n_x**d, (n_t + 1) // 2)
     padded = np.zeros((rows,) + grid, dtype=np.complex128)
     buf = np.empty_like(padded)
     for lo in range(0, n_t, rows):

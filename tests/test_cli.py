@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspde import cli, config
+from qspde import cli, config, hoelder, solver, spectral_noise
 from qspde.config import ConfigError, ExperimentConfig, config_hash, parse_config, serialize
 from qspde.hoelder import c1alpha_seminorm, centered_gradient, seminorm_dyadic
 from qspde.mc_harness import _noise_path
@@ -636,7 +636,7 @@ def test_cli_streamed_v_is_bitwise_independent_of_block_rows(tmp_path, capsys, m
     # rows at a time; 17 saves on the n_x = 8 grid fit one default block
     default = _solve_and_norms_files(tmp_path, capsys)
     for rows in (1, 3, 16):
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", rows * 8 * 8)
+        monkeypatch.setattr(spectral_noise, "_BLOCK_BYTES", rows * 8 * 8)
         assert _solve_and_norms_files(tmp_path, capsys) == default, rows
 
 
@@ -649,11 +649,58 @@ def test_cli_norms_names_the_first_non_finite_v_row_across_blocks(tmp_path, caps
     vals[10, 2] = np.inf
     vals[13, 1] = np.nan  # a later block: the earlier sample is named
     write_qspd(out / "v.qspd", Field(vals, dt=f.dt, t_start=f.t_start))
-    monkeypatch.setattr(cli, "_BLOCK_BYTES", 3 * 8 * 8)  # rows 9..11 are the fourth block
+    monkeypatch.setattr(spectral_noise, "_BLOCK_BYTES", 3 * 8 * 8)  # rows 9..11 are the fourth block
     rc, err = run_cli(capsys, ["norms", "--config", str(cfgp), "--out", str(out)])
     assert (rc, err["error"]["type"]) == (1, "validation")
     assert err["error"]["messages"] == [f"norms: {out / 'v.qspd'}: non-finite value at time index 10, node (2,)"]
     assert not (out / "norms.csv").exists()
+
+
+# every blocked loop of the package, by the function that asks _block_rows for its rows
+BLOCKED_LOOPS = {"sample_mode_states", "_spectral_slabs", "_march", "_cmd_solve", "_cmd_norms", "_temporal_sup"}
+
+
+def _split_loops(monkeypatch):
+    """The set of callers of _block_rows that got fewer rows than they hold: loops of several blocks."""
+    block_rows, split = spectral_noise._block_rows, set()
+
+    def recording(row_bytes, n):
+        rows = block_rows(row_bytes, n)
+        if rows < n:
+            split.add(sys._getframe(1).f_code.co_name)
+        return rows
+
+    for module in (spectral_noise, solver, hoelder, cli):
+        monkeypatch.setattr(module, "_block_rows", recording)
+    return split
+
+
+@pytest.mark.parametrize("budget", [1, 512])
+def test_one_block_budget_splits_every_loop_and_keeps_every_byte(tmp_path, capsys, monkeypatch, budget):
+    # a budget of one byte makes blocks of one row, and 512 bytes blocks of
+    # a few rows (4 spectral rows, 8 march steps, 3 sites); sample-noise,
+    # solve, norms and a solving campaign must write the default-budget bytes
+    mc = dict(SOLVE_OVERRIDES, mc_solve="true", n_realizations="3")
+    runs = {
+        "noise": (SOLVE_OVERRIDES, [["sample-noise"]]),
+        "run": (SOLVE_OVERRIDES, [["solve"], ["norms"]]),
+        "mc": (mc, [["mc", "--deterministic"]]),
+    }
+
+    def outputs():
+        files = {}
+        for name, (overrides, commands) in runs.items():
+            cfgp, out = write_cfg(tmp_path, **overrides), tmp_path / name
+            for command in commands:
+                assert run_cli(capsys, command + ["--config", str(cfgp), "--out", str(out)])[0] == 0, command
+            files.update({f"{name}/{p.name}": p.read_bytes() for p in sorted(out.iterdir())})
+        return files
+
+    default = outputs()
+    split = _split_loops(monkeypatch)
+    monkeypatch.setattr(spectral_noise, "_BLOCK_BYTES", budget)
+    assert outputs() == default
+    assert split == BLOCKED_LOOPS
 
 
 def test_cli_mc_deterministic_and_stable(tmp_path, capsys):

@@ -18,6 +18,7 @@ from qspde.hoelder import (
     seminorm_dyadic,
     seminorm_naive,
 )
+from qspde import spectral_noise
 from qspde.spectral_noise import Field
 
 
@@ -160,6 +161,23 @@ def test_naive_rejects_bad_alpha():
     for alpha in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
             seminorm_naive(f, alpha)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.25, np.nan, np.inf])
+@pytest.mark.parametrize("estimator", [seminorm_naive, seminorm_dyadic, c1alpha_seminorm])
+def test_estimators_refuse_a_bad_time_step(estimator, dt):
+    # the dyadic scans raised ZeroDivisionError at dt = 0 and could not
+    # convert NaN to an integer; the naive scan returned 0.0, or inf at dt = 0
+    f = Field(np.random.default_rng(3).standard_normal((5, 8)), dt=dt)
+    with pytest.raises(ValueError, match=f"^dt must be finite and > 0, got {dt}$"):
+        estimator(f, 0.3)
+
+
+@pytest.mark.parametrize("t_start", [np.nan, np.inf])
+def test_naive_refuses_a_non_finite_t_start(t_start):
+    f = Field(np.random.default_rng(4).standard_normal((5, 8)), dt=1 / 16, t_start=t_start)
+    with pytest.raises(ValueError, match=f"^t_start must be finite, got {t_start}$"):
+        seminorm_naive(f, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +789,8 @@ def whole_field_temporal_sup(w, alpha):
     return temporal
 
 
-# (d, n_x): 1, 127, 128, 129 and 1024 sites, and d = 2, 3 grids on and across block edges
+# (d, n_x): 1, 127, 128, 129 and 1024 sites, and d = 2, 3 grids on and across
+# the edges of 128-site blocks (the default budget makes 63-site blocks at n_t = 1025)
 _BLOCK_GRIDS = [(1, 1), (2, 1), (3, 1), (1, 127), (1, 128), (1, 129), (1, 1024), (2, 32), (2, 12), (3, 5), (3, 6)]
 
 
@@ -794,17 +813,21 @@ _BLOCK_CASES = [
 
 
 @pytest.mark.parametrize("d, n_x, n_t", _BLOCK_CASES)
-def test_blocked_temporal_sup_matches_whole_field_oracle(d, n_x, n_t):
+def test_blocked_temporal_sup_matches_whole_field_oracle(monkeypatch, d, n_x, n_t):
     rng = np.random.default_rng(1000 * d + n_x + n_t)
     for kind, vals in _blocked_oracle_fields(rng, d, n_x, n_t):
         f = Field(vals, dt=1 / 1024)
-        for alpha in (0.3, 0.7):
-            got, want = hoelder._temporal_sup(f, alpha), whole_field_temporal_sup(f, alpha)
-            assert got.hex() == want.hex(), (kind, alpha)
+        want = {alpha: whole_field_temporal_sup(f, alpha).hex() for alpha in (0.3, 0.7)}
+        # the default budget, then 128-site blocks (one site's series is a block row)
+        for budget in (spectral_noise._BLOCK_BYTES, 128 * 8 * n_t):
+            monkeypatch.setattr(spectral_noise, "_BLOCK_BYTES", budget)
+            for alpha in (0.3, 0.7):
+                assert hoelder._temporal_sup(f, alpha).hex() == want[alpha], (kind, alpha, budget)
 
 
 @pytest.mark.parametrize("d, n_x", [(1, 129), (2, 32), (3, 6)])
-def test_blocked_temporal_sup_nan_raises_the_oracle_text(d, n_x):
+def test_blocked_temporal_sup_nan_raises_the_oracle_text(monkeypatch, d, n_x):
+    monkeypatch.setattr(spectral_noise, "_BLOCK_BYTES", 128 * 8 * 17)  # 128-site blocks
     rng = np.random.default_rng(60 + d)
     for site in (0, n_x**d - 1):
         vals = rng.standard_normal((17,) + (n_x,) * d)

@@ -293,6 +293,33 @@ def test_scaling_validation():
             )
 
 
+@pytest.mark.parametrize(
+    "spatial, temporal, match",
+    [
+        ([], [2.0**-8, 2.0**-7], r"spatial lags \[\]"),
+        ([1 / 16], [2.0**-8, 2.0**-7], r"spatial lags \[0.0625\]"),
+        ([1 / 16, 1 / 16], [2.0**-8, 2.0**-7], r"spatial lags \[0.0625, 0.0625\]"),
+        ([1 / 16, 1 / 8], [], r"temporal lags \[\]"),
+        ([1 / 16, 1 / 8], [0.25], r"temporal lags \[0.25\]"),
+        ([1 / 16, 1 / 8], [0.25, 0.125, 0.25], r"temporal lags \[0.25, 0.125, 0.25\]"),
+    ],
+    ids=["no_spatial", "one_spatial", "repeated_spatial", "no_temporal", "one_temporal", "repeated_temporal"],
+)
+def test_scaling_fit_needs_two_distinct_lags_before_sampling(monkeypatch, spatial, temporal, match):
+    # no lags gave slope 0.0 after a RuntimeWarning, one lag a NaN slope,
+    # and a repeated temporal lag the sampler's "times must be strictly increasing"
+    _no_sampling(monkeypatch)
+    with pytest.raises(ValueError, match=match + ": a slope needs at least two"):
+        increment_scaling_fit(CovarianceSpec(1, 1.5, 31), 10, seed=0, spatial_lags=spatial, temporal_lags=temporal)
+
+
+def test_scaling_fit_accepts_repeated_spatial_lags():
+    # a repeated spatial lag is a repeated point of the fit: two distinct ones suffice
+    spec = CovarianceSpec(1, 1.5, 31)
+    fit = increment_scaling_fit(spec, 4, seed=2, spatial_lags=[1 / 16, 1 / 8, 1 / 8], temporal_lags=[2.0**-8, 2.0**-7])
+    assert np.isfinite(fit.spatial_slope) and np.isfinite(fit.temporal_slope)
+
+
 # ---------------------------------------------------------------------------
 # tail estimator
 

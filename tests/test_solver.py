@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qspde import solver
+from qspde import solver, spectral_noise
 from qspde.nonlinearity import Nonlinearity, builtin
 from qspde.solver import (
     GRAD_V_NEGATED,
@@ -381,7 +381,7 @@ def test_solve_evaluates_each_grad_v_row_once(monkeypatch, d, save_every, block)
         return out
 
     monkeypatch.setattr(solver, "_spectral_slabs", counting)
-    monkeypatch.setattr(solver, "_BLOCK_BYTES", block_bytes(block, n_x, d))
+    monkeypatch.setattr(spectral_noise, "_BLOCK_BYTES", block_bytes(block, n_x, d))
     solve(cfg, path, j_source=GRAD_V_NEGATED, save_every=save_every)
     assert sum(len(r) for r in rows) == n_steps
     # step i read row i, bitwise as one evaluation of the path gives it
@@ -389,7 +389,7 @@ def test_solve_evaluates_each_grad_v_row_once(monkeypatch, d, save_every, block)
 
 
 def block_bytes(steps, n_x, d):
-    """The _BLOCK_BYTES that makes march blocks of the given steps on the n_x^d grid."""
+    """The spectral_noise._BLOCK_BYTES that makes march blocks of the given steps on the n_x^d grid."""
     return steps * 8 * n_x**d
 
 
@@ -410,11 +410,11 @@ def test_solve_is_bitwise_independent_of_block_size(monkeypatch, d, n_steps, sav
     j_source = {"zero": None, "grad_v_negated": GRAD_V_NEGATED, "callable": lambda t: j * np.cos(9.0 * t)}
 
     def run(nbytes):
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", nbytes)
+        monkeypatch.setattr(spectral_noise, "_BLOCK_BYTES", nbytes)
         traj = solve(cfg, path, j_source[j_kind], save_every=save_every)
         return [traj.w.tobytes(), traj.v.tobytes(), repr(traj.mean_drift_rate)]
 
-    default = run(solver._BLOCK_BYTES)
+    default = run(spectral_noise._BLOCK_BYTES)
     for block in (1, 3, 7):
         assert run(block_bytes(block, n_x, d)) == default, block
 
@@ -426,11 +426,11 @@ def test_contraction_is_bitwise_independent_of_block_size(monkeypatch, d, n_step
     cfg = SolverConfig(d=d, n_x=8, dt=dt, t_end=n_steps * dt, nl=TANH)
 
     def run(nbytes):
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", nbytes)
+        monkeypatch.setattr(spectral_noise, "_BLOCK_BYTES", nbytes)
         rep = contraction_test(cfg, path, GRAD_V_NEGATED, epsilon=1e-3, seed=5)
         return [rep.distances.tobytes(), rep.dissipation.tobytes(), repr(rep.mean_drift_rate)]
 
-    default = run(solver._BLOCK_BYTES)
+    default = run(spectral_noise._BLOCK_BYTES)
     for block in (1, 3, 7):
         assert run(block_bytes(block, 8, d)) == default, block
 
@@ -591,7 +591,7 @@ def test_blow_up_mid_block_names_the_step_by_step_location(monkeypatch, batch):
     expected = f"solver produced a non-finite value at t={37 * dt:.9g}{copy}, node (5,)"
 
     def message(nbytes):
-        monkeypatch.setattr(solver, "_BLOCK_BYTES", nbytes)
+        monkeypatch.setattr(spectral_noise, "_BLOCK_BYTES", nbytes)
         cfg = SolverConfig(d=1, n_x=16, dt=dt, t_end=n_steps * dt, nl=_blowing_up_at(37, (5,)))
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as exc:
             if batch == 1:
@@ -600,7 +600,7 @@ def test_blow_up_mid_block_names_the_step_by_step_location(monkeypatch, batch):
                 contraction_test(cfg, path, GRAD_V_NEGATED, epsilon=1e-3, seed=1)
         return str(exc.value)
 
-    default = solver._BLOCK_BYTES
+    default = spectral_noise._BLOCK_BYTES
     assert [message(nbytes) for nbytes in (block_bytes(1, 16, 1), block_bytes(7, 16, 1), default)] == [expected] * 3
 
 

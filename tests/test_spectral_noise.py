@@ -303,7 +303,7 @@ def test_non_finite_variance_is_reported(monkeypatch, times):
 def test_sampler_peak_memory_near_coeffs(times, bound):
     # representatives are written straight into coeffs and the conjugate
     # half is filled in place: no states copy and no full-size temporaries.
-    # Every grid holds one draw group of normals, at most _DRAW_BYTES.
+    # Every grid holds one draw group of normals, at most _BLOCK_BYTES.
     spec = CovarianceSpec(1, 2.0, 31)
     modes = make_mode_set(1, 31)
     sample_mode_states(spec, times[:4], seed=3, modes=modes)  # warm caches
@@ -358,7 +358,7 @@ def test_strided_sampler_bitwise_matches_full_grid(monkeypatch):
     times = np.arange(65) / 64
     full = sample_mode_states(spec, times, seed=77, realization=5)
     for group in (1, 3):  # one stream at a time; groups of 3 and 1
-        monkeypatch.setattr(spectral_noise, "_DRAW_BYTES", 16 * times.size * group)
+        monkeypatch.setattr(spectral_noise, "_BLOCK_BYTES", 16 * times.size * group)
         blocked = sample_mode_states(spec, times, seed=77, realization=5)
         assert blocked.coeffs.tobytes() == full.coeffs.tobytes()
         for stride in (1, 4, 16):
@@ -369,7 +369,7 @@ def test_strided_sampler_d2(monkeypatch):
     spec = CovarianceSpec(2, 3.0, 2)
     times = np.arange(33) / 32
     full = sample_mode_states(spec, times, seed=9)
-    monkeypatch.setattr(spectral_noise, "_DRAW_BYTES", 16 * times.size * 5)  # groups of 5, 5 and 3
+    monkeypatch.setattr(spectral_noise, "_BLOCK_BYTES", 16 * times.size * 5)  # groups of 5, 5 and 3
     blocked = sample_mode_states(spec, times, seed=9)
     assert blocked.coeffs.tobytes() == full.coeffs.tobytes()
 
@@ -657,7 +657,7 @@ def test_spectral_slabs_match_fill_scatter_oracle(monkeypatch, d, kmax, n_x):
     want = fill_scatter_slabs(path.modes, path.coeffs, n_x, parts).tobytes()
     assert spectral_noise._spectral_slabs(path.modes, path.coeffs, n_x, parts).tobytes() == want
     # blocks of 3 rows: 8 rows end on a partial block
-    monkeypatch.setattr(spectral_noise, "_FFT_BLOCK_BYTES", 3 * 16 * n_x**d)
+    monkeypatch.setattr(spectral_noise, "_BLOCK_BYTES", 3 * 16 * n_x**d)
     assert spectral_noise._spectral_slabs(path.modes, path.coeffs, n_x, parts).tobytes() == want
     strided = path.coeffs[1::3]  # rows read through a strided view
     want = fill_scatter_slabs(path.modes, strided, n_x, parts).tobytes()
