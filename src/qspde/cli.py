@@ -194,7 +194,9 @@ def _require_one_grid(wp: str, w: tuple, vp: str, v: tuple):
 def _require_config_grid(cfg: ExperimentConfig, wp: str, w: Field):
     """w must lie on the save grid a solve of cfg writes; a seed cannot be read off the fields."""
     n_t = cfg.n_steps // cfg.save_every + 1
-    for name, want in (("d", cfg.d), ("n_x", cfg.n_x), ("n_t", n_t), ("dt", cfg.dt * cfg.save_every)):
+    for name, want in (
+        ("d", cfg.d), ("n_x", cfg.n_x), ("n_t", n_t), ("dt", cfg.dt * cfg.save_every), ("t_start", 0.0)
+    ):
         have = getattr(w, name)
         if have != want:
             msg = f"norms: {wp} is not on the config's grid: {name} {have} in the file, {want} in the config"

@@ -103,7 +103,7 @@ def _campaign_record(cfg, r: int) -> McRecord:
     every = cfg.save_every if cfg.mc_solve else 1
     dt_s = cfg.dt * every
     s = _row_stride(cfg.n_steps // every + 1, cfg.n_x, dt_s)
-    gv = _spectral_slabs(path.modes, path.coeffs[:: every * s], cfg.n_x, range(cfg.d))
+    gv = _spectral_slabs(path[:: every * s], cfg.n_x, range(cfg.d))
     grad_v_alpha = _max_component_theta(gv, s * dt_s, alpha)
     grad_u_alpha = w_norm = None
     if cfg.mc_solve:
@@ -377,7 +377,7 @@ def increment_scaling_fit(
     order = np.argsort(np.argsort(-temporal_lags))  # map lag order to time order
     for r in range(N):
         path = sample_mode_states(spec, times, seed, realization=r, modes=modes)
-        h = _spectral_slabs(modes, path.coeffs, n_x, (j,))[:, 0]
+        h = _spectral_slabs(path, n_x, (j,))[:, 0]
         last = h[-1]
         for q, st in enumerate(strides):
             diff = np.roll(last, -st, axis=0) - last
@@ -517,6 +517,8 @@ class GapStudy:
 
 
 GAP_LEVELS = ((64, 16), (128, 256), (256, 4096))
+_GAP_S = 2.0
+_GAP_LAMBDA = 0.5
 _GAP_W_TOL = 0.25
 _GAP_V_FACTOR = 1.5
 
@@ -524,26 +526,25 @@ _GAP_V_FACTOR = 1.5
 def regularity_gap_study(
     seed: int,
     realization: int = 0,
-    s: float = 2.0,
     kmax: int = 31,
     alpha: float = 0.4,
-    lam: float = 0.5,
     levels=GAP_LEVELS,
 ) -> GapStudy:
     """Refine solver and observation grids against one noise realization.
 
-    All levels are driven by one master-grid realization (step 2^-18);
-    solve reads the rows of its own grid, so the comparison is pathwise.
-    Per level (n_x, n_save) the equation is solved unforced with the
-    smooth perturbed flux, the solution difference w = u - v is recorded
-    on n_save uniform intervals, and the composite seminorm of w and of v
-    is estimated from those slabs.  PASS: the w estimate moves by less
-    than _GAP_W_TOL between the two finest levels while the v estimate
-    grows by at least _GAP_V_FACTOR per level (its temporal quotient
-    diverges under time refinement; w's stays put).
+    All levels are driven by one master-grid realization (d = 1,
+    s = _GAP_S, step 2^-18); solve reads the rows of its own grid, so the
+    comparison is pathwise.  Per level (n_x, n_save) the equation is
+    solved unforced with the smooth perturbed flux (lam = _GAP_LAMBDA),
+    the solution difference w = u - v is recorded on n_save uniform
+    intervals, and the composite seminorm of w and of v is estimated from
+    those slabs.  PASS: the w estimate moves by less than _GAP_W_TOL
+    between the two finest levels while the v estimate grows by at least
+    _GAP_V_FACTOR per level (its temporal quotient diverges under time
+    refinement; w's stays put).
     """
-    spec = CovarianceSpec(1, s, kmax)
-    nl = builtin("tanh_perturbed", lam)
+    spec = CovarianceSpec(1, _GAP_S, kmax)
+    nl = builtin("tanh_perturbed", _GAP_LAMBDA)
     master = sample_mode_states(spec, np.arange(2**18 + 1) * 2.0**-18, seed, realization)
     out = []
     for n_x, n_save in levels:

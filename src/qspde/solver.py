@@ -93,33 +93,35 @@ class SolverConfig:
 class Trajectory:
     """Recorded slabs of one solve, on the save-time grid.
 
-    w has shape (n_saves,) + grid.  v, the sampled background at the same
-    saves and shape, is evaluated from the noise path on its first read
-    and then kept; v_rows evaluates a block of saves alone, bitwise the
-    same rows, so that a reader can stream v without holding it whole,
-    and a reader of w alone never evaluates it.  u = w + v is summed per
-    read.  mean_drift_rate is max_t |mean w(t)| divided by t_end; the flux
-    form keeps it at roundoff scale.
+    w has shape (n_saves,) + grid, and noise is the noise path at the
+    saves, a view of the solved path.  v, the sampled background at the
+    same saves and shape, is evaluated from noise on its first read and
+    then kept; v_rows evaluates a block of saves alone, bitwise the same
+    rows, so that a reader can stream v without holding it whole, and a
+    reader of w alone never evaluates it.  u = w + v is summed per read.
+    mean_drift_rate is max_t |mean w(t)| divided by t_end; the flux form
+    keeps it at roundoff scale.
     """
 
-    times: np.ndarray
     w: np.ndarray
     mean_drift_rate: float
     noise: NoisePath
-    save_rows: slice  # the noise rows of the saves
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.noise.times
 
     def v_rows(self, lo: int, hi: int, out=None) -> np.ndarray:
         """v at the saves lo .. hi-1, shape (rows,) + grid, written into out when given."""
-        # slices, so the coefficients are read in place, not copied
-        coeffs = self.noise.coeffs[self.save_rows][lo:hi]
+        rows = self.noise[lo:hi]
         if out is None:
-            out = np.empty(coeffs.shape[:1] + self.w.shape[1:])
-        _spectral_slabs(self.noise.modes, coeffs, self.w.shape[-1], ("v",), out[:, None])
+            out = np.empty(rows.times.shape + self.w.shape[1:])
+        _spectral_slabs(rows, self.w.shape[-1], ("v",), out[:, None])
         return out
 
     @functools.cached_property
     def v(self) -> np.ndarray:
-        return self.v_rows(0, len(self.times))
+        return self.v_rows(0, len(self.w))
 
     @property
     def u(self) -> np.ndarray:
@@ -265,8 +267,8 @@ class _FluxMarch:
         return means
 
 
-def _noise_alignment(cfg: SolverConfig, noise: NoisePath) -> int:
-    """Stride of the noise grid under the solver grid; noise must refine it."""
+def _noise_alignment(cfg: SolverConfig, noise: NoisePath) -> NoisePath:
+    """The path at the solver's steps 0 .. n_steps; noise must refine the solver grid."""
     if noise.spec.d != cfg.d:
         raise ValueError("noise dimension does not match solver dimension")
     check(n_x=cfg.n_x, kmax=noise.spec.kmax)
@@ -284,7 +286,7 @@ def _noise_alignment(cfg: SolverConfig, noise: NoisePath) -> int:
     need = cfg.n_steps * ratio
     if noise.coeffs.shape[0] < need + 1:
         raise ValueError("noise path too short for the requested end time")
-    return ratio
+    return noise[: need + 1 : ratio]
 
 
 def _resolve_j(j_source: JSource, cfg: SolverConfig):
@@ -311,20 +313,20 @@ def _keep(rows, n0, every, out):
 def _march(cfg: SolverConfig, noise: NoisePath, j_source, w0, save_every=1, hook=None):
     """March the batch w0, shape (B,) + grid, from t = 0 to t_end.
 
-    Returns (save_rows, saves, drift): the slice of the noise rows of
-    every save_every-th step, the batch at those steps, shape
-    (n_saves, B) + grid and starting with w0, and the fmax over steps and
-    rows of |mean - mean of w0|.  Step i reads noise row i*ratio; grad v
-    (and div j for the grad_v_negated wiring) is evaluated a block of
-    rows at a time into one buffer, n_steps rows in all.
+    Returns (path, saves, drift): noise at every save_every-th step, a
+    view of its rows, the batch at those steps, shape (n_saves, B) + grid
+    and starting with w0, and the fmax over steps and rows of
+    |mean - mean of w0|.  Step i reads noise at time i*dt; grad v (and
+    div j for the grad_v_negated wiring) is evaluated from the slice of
+    noise at a block of steps at a time into one buffer, n_steps rows in
+    all.
     hook(i, g, f) is the divergence hook of step i.
     """
-    ratio = _noise_alignment(cfg, noise)
+    noise = _noise_alignment(cfg, noise)
     d, n_steps = cfg.d, cfg.n_steps
     check(save_every=save_every, t_end=cfg.t_end, dt=cfg.dt)
     spectral_j, j_faces = _resolve_j(j_source, cfg)
     parts = tuple(range(d)) + (("div_j",) if spectral_j else ())
-    save_rows = slice(0, n_steps * ratio + 1, save_every * ratio)
     n_saves = n_steps // save_every + 1
     saves = np.empty((n_saves,) + w0.shape)
     saves[0] = w0
@@ -337,8 +339,7 @@ def _march(cfg: SolverConfig, noise: NoisePath, j_source, w0, save_every=1, hook
     slabs = np.empty((block, len(parts)) + w0.shape[1:])
     for lo in range(0, n_steps, block):
         n = min(block, n_steps - lo)
-        rows = noise.coeffs[lo * ratio : (lo + n) * ratio : ratio]
-        _spectral_slabs(noise.modes, rows, cfg.n_x, parts, slabs[:n])
+        _spectral_slabs(noise[lo : lo + n], cfg.n_x, parts, slabs[:n])
         gv = slabs[:n, :d]
         _face_average(gv, d, gv)
         means = march.advance_block(lo, n, cfg.dt, gv, slabs[:n, d] if spectral_j else None, j_faces, hook)
@@ -346,7 +347,7 @@ def _march(cfg: SolverConfig, noise: NoisePath, j_source, w0, save_every=1, hook
         drift = max(drift, float(np.fmax.reduce(np.abs(means - mean0), None)))
         _keep(march.ring[1 : n + 1], lo + 1, save_every, saves)
         march.ring[0] = march.ring[n]
-    return save_rows, saves, drift
+    return noise[::save_every], saves, drift
 
 
 def solve(
@@ -365,14 +366,8 @@ def solve(
     arguments.
     """
     grid = (cfg.n_x,) * cfg.d
-    save_rows, saves, drift = _march(cfg, noise, j_source, np.zeros((1,) + grid), save_every)
-    return Trajectory(
-        times=np.array(noise.times[save_rows]),
-        w=saves[:, 0],
-        mean_drift_rate=drift / cfg.t_end,
-        noise=noise,
-        save_rows=save_rows,
-    )
+    noise, saves, drift = _march(cfg, noise, j_source, np.zeros((1,) + grid), save_every)
+    return Trajectory(w=saves[:, 0], mean_drift_rate=drift / cfg.t_end, noise=noise)
 
 
 @dataclass

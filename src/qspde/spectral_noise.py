@@ -19,9 +19,10 @@ temporal quotient (hoelder).  No output depends on the budget.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,7 +139,7 @@ def _read_qspd_header(fh):
         raise ValueError(f"QSPD header axis sizes {grid} must all be at least 1")
     if n_t < 0:
         raise ValueError(f"QSPD header n_t is {n_t}; it must be at least 0")
-    count = n_t * int(np.prod(grid))
+    count = n_t * math.prod(grid)
     size = os.fstat(fh.fileno()).st_size - fh.tell()
     if size < 8 * count:
         raise ValueError(f"truncated QSPD payload: expected {count} float64 values, found {size // 8}")
@@ -149,7 +150,7 @@ def _read_qspd_header(fh):
 
 def _read_qspd_rows(fh, grid, n: int) -> np.ndarray:
     """The next n time rows of the QSPD payload at fh, shape (n,) + grid."""
-    return np.fromfile(fh, dtype="<f8", count=n * int(np.prod(grid))).reshape((n,) + tuple(grid))
+    return np.fromfile(fh, dtype="<f8", count=n * math.prod(grid)).reshape((n,) + tuple(grid))
 
 
 def read_qspd(path) -> Field:
@@ -211,8 +212,11 @@ class CovarianceSpec:
         return f"CovarianceSpec(d={self.d}, s={self.s}, kmax={self.kmax})"
 
 
-def choose_kmax(d: int, s: float, tol: float = 1e-6, limit: int = 1 << 20) -> int:
-    """Smallest kmax whose estimated neglected tail mass is below tol."""
+_KMAX_LIMIT = 1 << 20
+
+
+def choose_kmax(d: int, s: float, tol: float = 1e-6) -> int:
+    """Smallest kmax up to _KMAX_LIMIT whose estimated neglected tail mass is below tol."""
 
     def ok(kmax):
         return CovarianceSpec(d, s, kmax).tail_fraction < tol
@@ -220,8 +224,8 @@ def choose_kmax(d: int, s: float, tol: float = 1e-6, limit: int = 1 << 20) -> in
     hi = 1
     while not ok(hi):
         hi *= 2
-        if hi > limit:
-            raise ValueError(f"no kmax below {limit} meets tol={tol}")
+        if hi > _KMAX_LIMIT:
+            raise ValueError(f"no kmax below {_KMAX_LIMIT} meets tol={tol}")
     lo = hi // 2  # tail mass decreases in kmax, so bisect on the last doubling
     while lo + 1 < hi:
         mid = (lo + hi) // 2
@@ -345,6 +349,10 @@ class NoisePath:
     seed: int
     realization: int = 0
 
+    def __getitem__(self, rows: slice) -> NoisePath:
+        """The path at the times of the row slice rows; its times and coeffs are views of these."""
+        return replace(self, times=self.times[rows], coeffs=self.coeffs[rows])
+
     @property
     def dt(self) -> float:
         steps = np.diff(self.times)
@@ -445,8 +453,8 @@ def _to_complex(z, ksq, out):
 # field evaluation and the closed-form covariance
 
 
-def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, parts, out=None) -> np.ndarray:
-    """Inverse-FFT evaluation of sum_k w_k X_k(t) e^{ikx} on the n_x grid.
+def _spectral_slabs(path: NoisePath, n_x: int, parts, out=None) -> np.ndarray:
+    """Inverse-FFT evaluation of sum_k w_k X_k(t) e^{ikx} on the n_x grid, at every time of path.
 
     Each part names one component and its mode weight w_k: "v" is v
     itself (the coefficients unscaled, so their signed zeros reach the
@@ -458,9 +466,10 @@ def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, parts, out=Non
     zero-padded block, transformed out of place; the zeros are never
     rewritten.  An imaginary residue that is NaN or above 1e-10 raises.
     """
+    modes = path.modes
     check(n_x=n_x, kmax=modes.kmax)
     d, kmax = modes.d, modes.kmax
-    n_t = coeffs.shape[0]
+    n_t = len(path.coeffs)
     side = (2 * kmax + 1,) * d
     grid = (n_x,) * d
     if out is None:
@@ -476,7 +485,7 @@ def _spectral_slabs(modes: ModeSet, coeffs: np.ndarray, n_x: int, parts, out=Non
     buf = np.empty_like(padded)
     for lo in range(0, n_t, rows):
         r = min(rows, n_t - lo)
-        block = coeffs[lo : lo + r].reshape((r,) + side)
+        block = path.coeffs[lo : lo + r].reshape((r,) + side)
         for c, w in enumerate(weights):
             for src, dst in corners:
                 at = padded[(slice(r),) + dst]
@@ -513,7 +522,7 @@ def evaluate_field(path: NoisePath, n_x: int, parts=("v",)) -> list:
     dt = path.dt  # raises on non-uniform grids
     # component-major, so that each Field's values are contiguous
     values = np.empty((len(parts), path.coeffs.shape[0]) + (n_x,) * d)
-    _spectral_slabs(path.modes, path.coeffs, n_x, parts, values.swapaxes(0, 1))
+    _spectral_slabs(path, n_x, parts, values.swapaxes(0, 1))
     return [Field(v, dt=dt, t_start=float(path.times[0])) for v in values]
 
 

@@ -564,6 +564,22 @@ def test_cli_norms_rejects_fields_off_the_config_grid(tmp_path, capsys, override
     assert not (out / "norms.csv").exists()
 
 
+@pytest.mark.parametrize("t_start", [np.inf, 0.5])
+def test_cli_norms_rejects_fields_that_do_not_start_at_zero(tmp_path, capsys, t_start):
+    # solve writes t_start = 0; fields moved together are on one grid, but not the config's
+    out = tmp_path / "run"
+    cfgp = write_cfg(tmp_path, **SOLVE_OVERRIDES)
+    assert run_cli(capsys, ["solve", "--config", str(cfgp), "--out", str(out)])[0] == 0
+    for name in ("w", "v"):
+        f = read_qspd(out / f"{name}.qspd")
+        write_qspd(out / f"{name}.qspd", Field(f.values, dt=f.dt, t_start=t_start))
+    rc, err = run_cli(capsys, ["norms", "--config", str(cfgp), "--out", str(out)])
+    assert (rc, err["error"]["type"]) == (1, "validation")
+    mismatch = f"t_start {t_start} in the file, 0.0 in the config"
+    assert err["error"]["messages"] == [f"norms: {out / 'w.qspd'} is not on the config's grid: {mismatch}"]
+    assert not (out / "norms.csv").exists()
+
+
 def test_cli_norms_accepts_another_config_on_the_same_grid(tmp_path, capsys):
     # half the step and twice the save stride save the same grid; the seed
     # cannot be read off the fields, so only the stamp line changes

@@ -14,7 +14,8 @@ from qspde.mc_harness import (
     run_campaign,
     tail_fit,
 )
-from qspde.spectral_noise import CovarianceSpec, _spectral_slabs
+from qspde.nonlinearity import builtin
+from qspde.spectral_noise import CovarianceSpec, _spectral_slabs, sample_mode_states
 
 
 def noise_cfg(**kw):
@@ -85,15 +86,48 @@ def test_campaign_record_evaluates_no_v(monkeypatch):
     # the record reads solve(...).w alone, so v is never evaluated
     parts = []
 
-    def recording(modes, coeffs, n_x, parts_, out=None):
+    def recording(path, n_x, parts_, out=None):
         parts.extend(parts_)
-        return _spectral_slabs(modes, coeffs, n_x, parts_, out)
+        return _spectral_slabs(path, n_x, parts_, out)
 
     for mod in (mc_harness, solver):
         monkeypatch.setattr(mod, "_spectral_slabs", recording)
     rec = mc_harness._campaign_record(solve_cfg(), 0)
     assert rec.w_c1alpha is not None
     assert set(parts) == {0, "div_j"}  # grad v for the record and the march, div j for the march
+
+
+def test_every_reader_evaluates_a_view_of_its_noise_path(monkeypatch):
+    # the march, Trajectory.v and the campaign record each hand
+    # _spectral_slabs a row slice of the path they read: its coefficients
+    # are views of that path's, never copies
+    seen = []
+
+    def recording(path, n_x, parts, out=None):
+        seen.append(path)
+        return _spectral_slabs(path, n_x, parts, out)
+
+    for mod in (mc_harness, solver):
+        monkeypatch.setattr(mod, "_spectral_slabs", recording)
+    ratio, save_every, n_steps, ndt = 4, 3, 48, 2.0**-10
+    master = sample_mode_states(CovarianceSpec(1, 2.0, 3), np.arange(ratio * n_steps + 1) * ndt, seed=9)
+    cfg = solver.SolverConfig(1, 8, ratio * ndt, n_steps * ratio * ndt, builtin("tanh_perturbed", 0.5))
+    traj = solver.solve(cfg, master, solver.GRAD_V_NEGATED, save_every=save_every)
+    traj.v  # evaluated on this first read
+    assert traj.times.tobytes() == master.times[:: ratio * save_every].tobytes()
+    masters = [master]
+    noise_path = mc_harness._noise_path
+
+    def keep(cfg_, r):
+        masters.append(noise_path(cfg_, r))
+        return masters[-1]
+
+    monkeypatch.setattr(mc_harness, "_noise_path", keep)
+    n_solve = len(seen)
+    mc_harness._campaign_record(solve_cfg(), 0)
+    assert n_solve >= 2 and len(seen) > n_solve + 1  # the march and v; the record and its march
+    for i, p in enumerate(seen):
+        assert np.shares_memory(p.coeffs, masters[i >= n_solve].coeffs), i
 
 
 def test_campaign_solve_mode_records():
@@ -376,9 +410,7 @@ def test_campaign_attaches_tail_for_large_runs():
 
 
 def test_gap_study_structure():
-    study = regularity_gap_study(
-        seed=7, s=2.0, kmax=3, alpha=0.3, levels=((8, 4), (16, 16))
-    )
+    study = regularity_gap_study(seed=7, kmax=3, alpha=0.3, levels=((8, 4), (16, 16)))
     assert len(study.levels) == 2
     assert all(lv.theta_v > 0 and lv.theta_w >= 0 for lv in study.levels)
     assert len(study.v_growth) == 1

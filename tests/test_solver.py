@@ -320,7 +320,7 @@ def test_zero_noise_solve_stays_zero():
 def test_spectral_slabs_are_contiguous_real_copies():
     # a strided .real view would keep the complex transform alive
     path = uniform_path(2, 3.0, 3, 2.0**-9, 16, seed=1)
-    v = _spectral_slabs(path.modes, path.coeffs, 8, ("v",))
+    v = _spectral_slabs(path, 8, ("v",))
     assert v.base is None and v.flags.c_contiguous and v.dtype == np.float64
     cfg = SolverConfig(d=2, n_x=8, dt=2.0**-9, t_end=2.0**-5, nl=TANH)
     traj = solve(cfg, path, save_every=2)
@@ -368,14 +368,14 @@ def test_solve_evaluates_each_grad_v_row_once(monkeypatch, d, save_every, block)
     n_x, kmax, dt, n_steps = 8, 3, 2.0**-10, 64
     path = uniform_path(d, 2.0 if d == 1 else 3.0, kmax, dt, n_steps, seed=41)
     cfg = SolverConfig(d=d, n_x=n_x, dt=dt, t_end=n_steps * dt, nl=TANH)
-    once = _spectral_slabs(path.modes, path.coeffs[:n_steps], n_x, range(d))
+    once = _spectral_slabs(path[:n_steps], n_x, range(d))
 
     rows = []
 
-    def counting(modes, coeffs, n_x, parts, out=None):
+    def counting(noise, n_x, parts, out=None):
         axes = [p for p in parts if p not in ("v", "div_j")]
         assert axes in ([], list(range(d)))
-        out = _spectral_slabs(modes, coeffs, n_x, parts, out)
+        out = _spectral_slabs(noise, n_x, parts, out)
         if axes:  # copied before the march averages them onto faces in place
             rows.append(out[:, :d].copy())
         return out
@@ -536,7 +536,7 @@ def test_contraction_hook_matches_roll_oracle(d, n_x, nl, with_j):
     pert = np.random.default_rng(8).standard_normal(grid)  # the pair contraction_test starts from
     pert -= pert.mean()
     pair = [np.zeros(grid), pert * (1e-3 / np.max(np.abs(pert)))]
-    gv = _spectral_slabs(path.modes, path.coeffs[:n_steps], n_x, range(d))
+    gv = _spectral_slabs(path[:n_steps], n_x, range(d))
     dx, cell = 1.0 / n_x, (1.0 / n_x) ** d
     dissipation = np.zeros(n_steps)
     distances = [pair]

@@ -591,6 +591,12 @@ def test_evaluate_reality_residue_guard():
         evaluate_field(path, 8)
 
 
+def _path_of(modes, coeffs):
+    """A NoisePath that holds the given coefficient rows, at times 0, 1, 2, ..."""
+    spec = CovarianceSpec(modes.d, modes.d + 1.0, modes.kmax)
+    return NoisePath(spec, modes, np.arange(float(len(coeffs))), coeffs, seed=0)
+
+
 def _unpaired_residue(modes, coeffs, n_x):
     """max |Im| of the d=1 inverse transform, computed without the package."""
     buf = np.zeros((coeffs.shape[0], n_x), complex)
@@ -604,7 +610,7 @@ def test_residue_guard_reports_max_abs_imaginary_part(c):
     coeffs = np.zeros((2, len(modes)), complex)
     coeffs[1, 0] = c  # one unpaired mode: its imaginary part survives
     with pytest.raises(FloatingPointError) as exc:
-        spectral_noise._spectral_slabs(modes, coeffs, 8, ["v"])
+        spectral_noise._spectral_slabs(_path_of(modes, coeffs), 8, ["v"])
     assert f"residue {_unpaired_residue(modes, coeffs, 8):.3e} " in str(exc.value)
 
 
@@ -614,7 +620,7 @@ def test_residue_guard_rejects_nan():
     coeffs = np.zeros((1, len(modes)), complex)
     coeffs[0, 0] = complex(np.nan, 1.0)
     with pytest.raises(FloatingPointError, match="imaginary residue nan exceeds"):
-        spectral_noise._spectral_slabs(modes, coeffs, 8, ["v"])
+        spectral_noise._spectral_slabs(_path_of(modes, coeffs), 8, ["v"])
 
 
 def fill_scatter_slabs(modes, coeffs, n_x, parts):
@@ -655,16 +661,17 @@ def test_spectral_slabs_match_fill_scatter_oracle(monkeypatch, d, kmax, n_x):
     assert not path.coeffs[0].any()
     parts = ["v", *range(d), "div_j", 0]
     want = fill_scatter_slabs(path.modes, path.coeffs, n_x, parts).tobytes()
-    assert spectral_noise._spectral_slabs(path.modes, path.coeffs, n_x, parts).tobytes() == want
+    assert spectral_noise._spectral_slabs(path, n_x, parts).tobytes() == want
     # blocks of 3 rows: 8 rows end on a partial block
     monkeypatch.setattr(spectral_noise, "_BLOCK_BYTES", 3 * 16 * n_x**d)
-    assert spectral_noise._spectral_slabs(path.modes, path.coeffs, n_x, parts).tobytes() == want
-    strided = path.coeffs[1::3]  # rows read through a strided view
-    want = fill_scatter_slabs(path.modes, strided, n_x, parts).tobytes()
-    assert spectral_noise._spectral_slabs(path.modes, strided, n_x, parts).tobytes() == want
-    signed = np.full((2, len(path.modes)), complex(-0.0, -0.0))  # "v" must pass signed zeros through
-    want = fill_scatter_slabs(path.modes, signed, n_x, parts).tobytes()
-    assert spectral_noise._spectral_slabs(path.modes, signed, n_x, parts).tobytes() == want
+    assert spectral_noise._spectral_slabs(path, n_x, parts).tobytes() == want
+    strided = path[1::3]  # rows read through a strided view
+    want = fill_scatter_slabs(path.modes, strided.coeffs, n_x, parts).tobytes()
+    assert spectral_noise._spectral_slabs(strided, n_x, parts).tobytes() == want
+    # "v" must pass signed zeros through
+    signed = _path_of(path.modes, np.full((2, len(path.modes)), complex(-0.0, -0.0)))
+    want = fill_scatter_slabs(path.modes, signed.coeffs, n_x, parts).tobytes()
+    assert spectral_noise._spectral_slabs(signed, n_x, parts).tobytes() == want
 
 
 def test_evaluate_refined_grid_contains_coarse_nodes():
@@ -692,9 +699,9 @@ def test_evaluate_mode_list_is_one_pass_of_the_single_fields(monkeypatch):
     seen = []
     slabs = spectral_noise._spectral_slabs
 
-    def counting(modes, coeffs, n_x, p, out=None):
+    def counting(path_, n_x, p, out=None):
         seen.append(list(p))
-        return slabs(modes, coeffs, n_x, p, out)
+        return slabs(path_, n_x, p, out)
 
     monkeypatch.setattr(spectral_noise, "_spectral_slabs", counting)
     fields = evaluate_field(path, 8, parts)
@@ -862,6 +869,15 @@ def test_qspd_rejects_impossible_header_sizes(tmp_path, header, match):
     p = tmp_path / "f.qspd"
     p.write_bytes(header + b"\x00" * 64)
     with pytest.raises(ValueError, match=match):
+        read_qspd(p)
+
+
+@pytest.mark.parametrize("grid, n_t", [((2**32, 2**32), 1), ((2**21,) * 3, 2)], ids=["2^64", "2^63*2"])
+def test_qspd_size_check_counts_without_overflow(tmp_path, grid, n_t):
+    # 2^64 values wrap to 0 in int64, which an empty payload would match
+    p = tmp_path / "f.qspd"
+    p.write_bytes(_qspd_header(grid, n_t))
+    with pytest.raises(ValueError, match=f"truncated QSPD payload: expected {2**64} float64 values, found 0"):
         read_qspd(p)
 
 
